@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -22,13 +21,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .domain import BoundaryFunction, DomainSpec
 from .pantograph import alpha, beta, phi_exact
-from .specfun import (
-    BesselMode,
-    adaptive_quad_vec,
-    bessel_j,
-    bessel_j_derivative,
-    gauss_legendre,
-)
+from .specfun import BesselMode, adaptive_quad_vec, radial_profile
 
 __all__ = [
     "GridWavefunction",
@@ -57,7 +50,8 @@ class GridWavefunction:
     time: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        # a copy, so that zeroing the Dirichlet row leaves the caller's array alone
+        self.values = np.array(self.values, dtype=complex)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d (nr, ntheta) array")
         if self.ntheta % 2:
@@ -90,7 +84,7 @@ class GridWavefunction:
         return math.sqrt(max(self.inner(self).real, 0.0))
 
     def copy(self) -> "GridWavefunction":
-        return GridWavefunction(self.values.copy(), self.r0, self.time)
+        return GridWavefunction(self.values, self.r0, self.time)
 
 
 def grid_from_sampler(sampler, r0: float, nr: int, ntheta: int,
@@ -400,19 +394,6 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
 
 # -- brute-force first-order matrix elements --------------------------------
 
-@lru_cache(maxsize=512)
-def _radial_profiles(m_abs: int, n: int, k: float, norm: float, r0: float, nr: int):
-    """(u, u', u'') of the radial factor (2 pi)^{-1/2} A J_{|m|}(k r) on the rule."""
-    rule = gauss_legendre(nr, 0.0, r0)
-    r = rule.nodes
-    x = k * r
-    j = bessel_j(m_abs, x)
-    jp = bessel_j_derivative(m_abs, x)
-    jpp = -jp / x + (m_abs**2 / x**2 - 1.0) * j  # Bessel ODE
-    pref = (2.0 * math.pi) ** -0.5 * norm
-    return rule, pref * j, pref * k * jp, pref * k * k * jpp
-
-
 def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
                   ntheta: int = 64, dressed: bool = True, parts: bool = False):
     """<phi_target(s)| H_eff^(1)(s) |phi_source(s)> by direct 2-d quadrature.
@@ -431,10 +412,11 @@ def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
     gd = float(spec.gdot(s))
     lam = float(spec.lam(s))
 
-    rule, ut, _, _ = _radial_profiles(abs(tgt.m), tgt.n, tgt.k, tgt.norm, spec.r0, nr)
-    _, us, dus, d2us = _radial_profiles(abs(src.m), src.n, src.k, src.norm, spec.r0, nr)
+    rule, ut, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, nr)
+    _, us, dus, d2us = radial_profile(abs(src.m), src.n, spec.r0, nr)
     r = rule.nodes
-    wr = rule.weights * r  # measure r dr
+    # measure r dr times both radial normalizations (2 pi)^{-1/2} A
+    wr = rule.weights * r * (tgt.norm * src.norm / (2.0 * math.pi))
 
     # radial pieces of the dressed source, common phase e^{i a r^2} times...
     w0 = us.astype(complex)

@@ -11,9 +11,7 @@ see the oracle cross-checks in the test suite.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +22,7 @@ from .specfun import (
     RADIAL_QUAD_POINTS,
     BesselMode,
     adaptive_quad_vec,
-    bessel_j,
-    bessel_j_derivative,
-    gauss_legendre,
+    radial_profile,
 )
 
 __all__ = [
@@ -88,13 +84,28 @@ def xi(pair: ModePair, spec: DomainSpec, t) -> float:
     return beta(pair.source, spec, t) - beta(pair.target, spec, t)
 
 
-def _radial_arrays(pair: ModePair, spec: DomainSpec, npoints: int):
-    rule = gauss_legendre(npoints, 0.0, spec.r0)
-    r = rule.nodes
-    jt = bessel_j(abs(pair.target.m), pair.target.k * r)
-    js = bessel_j(abs(pair.source.m), pair.source.k * r)
-    djs = pair.source.k * bessel_j_derivative(abs(pair.source.m), pair.source.k * r)
-    return rule, r, jt, js, djs
+def _check_span(spec: DomainSpec, t: float) -> None:
+    """Reject a time span [0, t] over which the box collapses.
+
+    lambda is linear with lambda(0) = 1, so it stays positive on the span
+    exactly when it is positive at t.
+    """
+    if spec.lam(t) <= 0:
+        raise ValueError(
+            f"lambda(t) = 1 + kappa t <= 0 by t = {float(t):g}: the box collapses")
+
+
+def _w_values(pair: ModePair, spec: DomainSpec, npoints: int) -> tuple:
+    """W^(1)..W^(4) of a pair from the shared radial table (see w_integral)."""
+    tgt, src = pair.target, pair.source
+    rule, jt, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, npoints)
+    _, js, djs, _ = radial_profile(abs(src.m), src.n, spec.r0, npoints)
+    r, w = rule.nodes, rule.weights
+    aa = tgt.norm * src.norm
+    return (float(aa * np.sum(w * jt * (js / r + djs))),
+            float(aa * np.sum(w * r * jt * js)),
+            float(aa * np.sum(w * r**3 * jt * js)),
+            float(aa * np.sum(w * r**2 * jt * djs)))
 
 
 def w_integral(k: int, pair: ModePair, spec: DomainSpec,
@@ -116,18 +127,7 @@ def w_integral(k: int, pair: ModePair, spec: DomainSpec,
         raise ValueError("w_integral index must be 1..4")
     if k == 1 and abs(pair.target.m) == 0 and abs(pair.source.m) == 0:
         raise ValueError("W1 diverges between two m=0 modes (selection-forbidden)")
-    rule, r, jt, js, djs = _radial_arrays(pair, spec, npoints)
-    aa = pair.target.norm * pair.source.norm
-    w = rule.weights
-    if k == 1:
-        val = np.sum(w * jt * (js / r + djs))
-    elif k == 2:
-        val = np.sum(w * r * jt * js)
-    elif k == 3:
-        val = np.sum(w * r**3 * jt * js)
-    else:
-        val = np.sum(w * r**2 * jt * djs)
-    return float(aa * val)
+    return _w_values(pair, spec, npoints)[k - 1]
 
 
 def _f_weight_stack(spec: DomainSpec, de: float):
@@ -160,6 +160,7 @@ def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
     """Oscillatory time integral F^(k)(t), k in 1..5, to abs_tol."""
     if k not in (1, 2, 3, 4, 5):
         raise ValueError("f_integral index must be 1..5")
+    _check_span(spec, t)
     de = pair.target.energy - pair.source.energy
     f, phase = _f_weight_stack(spec, de)
     vals = adaptive_quad_vec(f, 0.0, float(t), abs_tol, phase=phase)
@@ -195,12 +196,13 @@ def element(pair: ModePair, spec: DomainSpec, t: float,
 
     Exactly zero (selection rule) unless the angular indices differ by one.
     """
+    _check_span(spec, t)
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
     de = pair.target.energy - pair.source.energy
     f, phase = _f_weight_stack(spec, de)
     fvals = adaptive_quad_vec(f, 0.0, float(t), f_tol, phase=phase)
-    wvals = [w_integral(k, pair, spec, w_points) for k in (1, 2, 3, 4)]
+    wvals = _w_values(pair, spec, w_points)
     return _assemble(pair, spec, fvals, wvals, xi_fn=phase)
 
 
@@ -236,7 +238,7 @@ def _amplitude_row(initial, target, spec, times, w_points, f_tol):
         return out
     de = target.energy - initial.energy
     f, phase = _f_weight_stack(spec, de)
-    wvals = [w_integral(k, pair, spec, w_points) for k in (1, 2, 3, 4)]
+    wvals = _w_values(pair, spec, w_points)
     fcum = np.zeros(5, dtype=complex)
     prev = 0.0
     for i, t in enumerate(times):
@@ -255,32 +257,18 @@ def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
 
     a_sigma(t) = delta_{sigma,initial} - (i/hbar) * element(sigma <- initial, t);
     the five time integrals per pair are accumulated panel-by-panel along the
-    grid.  Rows for distinct targets are independent and computed on a small
-    thread pool (capped by the BILLIARD_THREADS environment variable).
-    Flags the table when total leakage leaves the perturbative regime.
+    grid.  Flags the table when total leakage leaves the perturbative regime.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty strictly increasing grid")
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
+    _check_span(spec, times[-1])
     check_deformation_regime(spec, float(times[-1]))
-    targets = list(targets)
-    max_workers = min(len(targets), os.cpu_count() or 1)
-    cap = os.environ.get("BILLIARD_THREADS")
-    if cap:
-        max_workers = max(1, min(max_workers, int(cap)))
     table = AmplitudeTable(times=times, initial=initial)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(
-                lambda tg: _amplitude_row(initial, tg, spec, times, w_points, f_tol),
-                targets))
-    else:
-        rows = [_amplitude_row(initial, tg, spec, times, w_points, f_tol)
-                for tg in targets]
-    for tg, row in zip(targets, rows):
-        table.entries[tg] = row
+    for tg in targets:
+        table.entries[tg] = _amplitude_row(initial, tg, spec, times, w_points, f_tol)
     leak = table.leakage()
     if leak.max() > REGIME_LIMIT:
         table.regime_ok = False

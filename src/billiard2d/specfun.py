@@ -1,11 +1,12 @@
 """Special-function kernel: integer-order Bessel J, its zeros, disk
 eigenmodes and Gauss-Legendre quadrature.
 
-Everything here is self-contained (no scipy): J_m is evaluated by a power
-series for small argument and by normalized downward recurrence above, the
-zeros by asymptotic guesses refined with bisection plus Newton, and the
-quadrature nodes by Newton iteration on the Legendre recurrence.  All
-routines are pure functions; cached tables are immutable after construction.
+J_m is evaluated here, by a power series for small argument and by
+normalized downward recurrence above (faster than scipy for stacked
+orders).  The zeros come from ``scipy.special.jn_zeros``, imported lazily,
+the Gauss-Legendre nodes from ``numpy.polynomial.legendre.leggauss``, and
+mode norms from their closed form.  All routines are pure functions; cached
+tables are read-only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "gauss_legendre",
     "mode_make",
     "modes_upto",
+    "radial_profile",
     "eigenmode_value",
     "adaptive_quad_vec",
     "RADIAL_QUAD_POINTS",
@@ -172,98 +174,29 @@ def bessel_j_derivative(m: int, x):
     return float(out[0]) if scalar else out
 
 
-def _mcmahon_guess(m: int, n: int) -> float:
-    b = (n + 0.5 * m - 0.25) * math.pi
-    mu = 4.0 * m * m
-    return (
-        b
-        - (mu - 1.0) / (8.0 * b)
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3)
-    )
-
-
 @lru_cache(maxsize=None)
 def bessel_zero(m: int, n: int) -> float:
-    """n-th positive zero of J_m (n >= 1), accurate to ~1e-13 absolute.
+    """n-th positive zero of J_m (n >= 1), from ``scipy.special.jn_zeros``.
 
-    The n-th sign change of J_m is bracketed by a coarse scan (consecutive
-    zeros are never closer than ~3.05), bisected, then polished by Newton.
-    Raises RuntimeError if the scan cannot isolate n sign changes, which
-    would signal a defective J evaluation.
+    scipy is imported here, not at module level, so that importing the
+    package does not pay for loading ``scipy.special``.
     """
     if m < 0 or n < 1:
         raise ValueError("bessel_zero requires m >= 0 and n >= 1")
-    step = 1.5
-    x_hi_limit = _mcmahon_guess(m, n) + 10.0
-    x_prev = 0.05
-    f_prev = bessel_j(m, x_prev)
-    crossings = 0
-    lo = hi = None
-    x = x_prev
-    while x < x_hi_limit:
-        x = x_prev + step
-        f = bessel_j(m, x)
-        if f == 0.0:  # exact hit, perturb
-            x += 1e-9
-            f = bessel_j(m, x)
-        if f_prev * f < 0.0:
-            crossings += 1
-            if crossings == n:
-                lo, hi = x_prev, x
-                break
-        x_prev, f_prev = x, f
-    if lo is None:
-        raise RuntimeError(
-            f"could not isolate {n} sign changes of J_{m} below {x_hi_limit:.2f}"
-        )
-    f_lo = bessel_j(m, lo)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        f_mid = bessel_j(m, mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    root = 0.5 * (lo + hi)
-    for _ in range(4):
-        d = bessel_j_derivative(m, root)
-        if d == 0.0:
-            break
-        root -= bessel_j(m, root) / d
-    return root
+    from scipy.special import jn_zeros
+
+    return float(jn_zeros(m, n)[-1])
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule_unit(npoints: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes/weights on [-1, 1] by Newton iteration on the recurrence."""
+def _legendre_rule_unit(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
     if npoints < 1:
         raise ValueError("need at least one quadrature point")
-    n = npoints
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range((n + 1) // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1.0) if n > 1 else 1.0
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        p0, p1 = 1.0, x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0) if n > 1 else 1.0
-        nodes[i] = -x  # cos ordering gives descending nodes
-        nodes[n - 1 - i] = x
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        weights[i] = w
-        weights[n - 1 - i] = w
-    if n == 1:
-        nodes[0], weights[0] = 0.0, 2.0
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+    nodes, weights = np.polynomial.legendre.leggauss(npoints)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
@@ -271,32 +204,16 @@ def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
     if not a < b:
         raise ValueError("need a < b")
     xs, ws = _legendre_rule_unit(npoints)
-    xs = np.asarray(xs)
-    ws = np.asarray(ws)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return QuadratureRule(mid + half * xs, half * ws, (float(a), float(b)))
 
 
-@lru_cache(maxsize=None)
-def _radial_rule(r0: float, npoints: int) -> QuadratureRule:
-    return gauss_legendre(npoints, 0.0, r0)
-
-
-@lru_cache(maxsize=None)
-def _mode_norm(m_abs: int, n: int, r0: float, npoints: int) -> float:
-    k = bessel_zero(m_abs, n) / r0
-    rule = _radial_rule(r0, npoints)
-    j = bessel_j(m_abs, k * rule.nodes)
-    return float(1.0 / math.sqrt(np.sum(rule.weights * rule.nodes * j * j)))
-
-
-def mode_make(m: int, n: int, spec, npoints: int = RADIAL_QUAD_POINTS) -> BesselMode:
+def mode_make(m: int, n: int, spec) -> BesselMode:
     """Build the (m, n) disk eigenmode for the given domain parameters.
 
-    The normalization is computed by quadrature of `int r J^2 dr` with the
-    same Gauss-Legendre rule used for matrix elements; the closed form in
-    terms of J_{|m|+1} at the zero serves as a cross-check in the tests.
+    The normalization is the closed form A = sqrt(2) / (r0 |J_{|m|+1}(j)|)
+    at the zero j; the tests check it against quadrature of ``int r J^2 dr``.
     """
     if n < 1:
         raise ValueError("radial index n must be >= 1")
@@ -306,8 +223,30 @@ def mode_make(m: int, n: int, spec, npoints: int = RADIAL_QUAD_POINTS) -> Bessel
     zero = bessel_zero(m_abs, n)
     k = zero / spec.r0
     energy = (spec.hbar * k) ** 2 / (2.0 * spec.mu)
-    norm = _mode_norm(m_abs, n, float(spec.r0), npoints)
+    norm = math.sqrt(2.0) / (spec.r0 * abs(bessel_j(m_abs + 1, zero)))
     return BesselMode(m=int(m), n=int(n), zero=zero, k=k, energy=energy, norm=norm)
+
+
+@lru_cache(maxsize=512)
+def radial_profile(m_abs: int, n: int, r0: float, npoints: int):
+    """``(rule, J, J', J'')`` of mode (+-m_abs, n) on the radial Gauss rule.
+
+    J = J_{m_abs}(k r) with k = j_{m_abs,n} / r0, and its first two
+    r-derivatives, at the ``npoints`` Gauss-Legendre nodes on [0, r0].  J''
+    comes from Bessel's equation, regular since the nodes avoid r = 0.  The
+    table is cached and shared, so its arrays are read-only.
+    """
+    k = bessel_zero(m_abs, n) / r0
+    rule = gauss_legendre(npoints, 0.0, r0)
+    x = k * rule.nodes
+    rows = bessel_j_all(m_abs + 1, x)
+    j = rows[m_abs]
+    jp = -rows[1] if m_abs == 0 else 0.5 * (rows[m_abs - 1] - rows[m_abs + 1])
+    jpp = -jp / x + (m_abs**2 / x**2 - 1.0) * j
+    out = (rule, j, k * jp, k * k * jpp)
+    for arr in (rule.nodes, rule.weights, *out[1:]):
+        arr.flags.writeable = False
+    return out
 
 
 def modes_upto(m_max: int, n_max: int, spec) -> list[BesselMode]:
@@ -356,8 +295,8 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
     else:
         edges.append(b)
 
-    x7, w7 = (np.asarray(t) for t in _legendre_rule_unit(7))
-    x15, w15 = (np.asarray(t) for t in _legendre_rule_unit(15))
+    x7, w7 = _legendre_rule_unit(7)
+    x15, w15 = _legendre_rule_unit(15)
     total_width = b - a
 
     def panel(lo, hi):

@@ -223,7 +223,7 @@ def test_criterion_6_tdpt_vs_full_propagation():
               f"= {ratio:.1f} in [15, 35], {elapsed:.0f} s")
 
 
-def test_criterion_7_population_curve_symmetry_and_shape():
+def test_criterion_7_population_curve_symmetry_and_shape(tmp_path):
     spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, gamma=0.5,
                       epsilon=0.05)
     initial = sf.mode_make(0, 1, spec)
@@ -241,17 +241,24 @@ def test_criterion_7_population_curve_symmetry_and_shape():
         pop = table.population(tg)
         assert pop[0] == 0.0
         assert np.max(pop) < 25.0 * spec.epsilon**2
-    # emit the CSV series for visual comparison (via the CLI front-end),
-    # kept under artifacts/ rather than a throwaway tmp dir
+    # the same curves through the CLI front-end must reproduce the committed
+    # artifact, which is written elsewhere so that the test leaves it alone
     from pathlib import Path
 
     from billiard2d import cli
-    out = Path(__file__).resolve().parent.parent / "artifacts" / "fig1_populations.csv"
+    artifact = Path(__file__).resolve().parent.parent / "artifacts" / "fig1_populations.csv"
+    out = tmp_path / artifact.name
     cfg = cli.parse_config(f"task = populations\nn_samples = 51\nout = {out}\n")
     assert cli.run(cfg) == 0
-    assert out.exists()
+    assert out.read_text().splitlines()[0] == artifact.read_text().splitlines()[0]
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.loadtxt(artifact, delimiter=",", skiprows=1)
+    assert got.shape == want.shape
+    fig1_diff = float(np.max(np.abs(got - want)))
+    assert fig1_diff <= 1e-12
     report(7, f"P(+1,n) == P(-1,n) exactly, P(1,1) dominates, max P/eps^2 "
-              f"= {np.max(p1) / spec.epsilon**2:.2f}, CSV at artifacts/{out.name}")
+              f"= {np.max(p1) / spec.epsilon**2:.2f}, CLI CSV within "
+              f"{fig1_diff:.1e} of artifacts/{artifact.name}")
 
 
 def test_criterion_8_one_dimensional_module():

@@ -70,8 +70,7 @@ def test_csv_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_populations_determinism_with_threads(tmp_path):
-    # parallel amplitude rows must not perturb the emitted bytes
+def test_populations_csv_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = "task = populations\nn_samples = 4\nt_end = 5\n"
     cli.run(cli.parse_config(base + f"out = {out1}\n"))

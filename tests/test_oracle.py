@@ -36,6 +36,13 @@ def test_grid_geometry_and_dirichlet_row(unit_spec):
         oracle.GridWavefunction(np.ones((32, 15), dtype=complex), 1.0)
 
 
+def test_grid_wavefunction_leaves_caller_array_alone():
+    vals = np.ones((32, 16), dtype=complex)
+    g = oracle.GridWavefunction(vals, 1.0)
+    assert g.values[-1].max() == 0.0
+    assert np.all(vals == 1.0)  # the Dirichlet row is zeroed on a copy
+
+
 def test_grid_norm_of_sampled_mode(unit_spec):
     # midpoint-rule bias is O(dr^2); verify level and scaling
     mode = sf.mode_make(0, 1, unit_spec)

@@ -219,12 +219,31 @@ def test_amplitudes_regime_flag():
     assert not table.regime_ok
 
 
-def test_amplitudes_thread_cap_env(spec, monkeypatch):
-    monkeypatch.setenv("BILLIARD_THREADS", "1")
+def test_amplitudes_one_row_per_target_and_deterministic(spec):
     initial = sf.mode_make(0, 1, spec)
     targets = [sf.mode_make(1, 1, spec), sf.mode_make(-1, 1, spec)]
-    table = pt.amplitudes(initial, targets, spec, np.array([1.0, 2.0]))
-    assert set(table.entries) == set(targets)
+    times = np.array([1.0, 2.0])
+    first = pt.amplitudes(initial, targets, spec, times)
+    again = pt.amplitudes(initial, targets, spec, times)
+    assert set(first.entries) == set(targets)
+    for tg in targets:
+        assert np.array_equal(first.entries[tg], again.entries[tg])
+
+
+def test_collapsing_box_rejected():
+    shrinking = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=-0.1, gamma=0.5,
+                           epsilon=0.05)
+    initial = sf.mode_make(0, 1, shrinking)
+    p = pt.ModePair(source=initial, target=sf.mode_make(1, 1, shrinking))
+    # lambda reaches 0 at t = 10 and is negative beyond
+    for t_end in (10.0, 12.0):
+        with pytest.raises(ValueError, match="collapses"):
+            pt.amplitudes(initial, [p.target], shrinking, np.linspace(0.0, t_end, 5))
+        with pytest.raises(ValueError, match="collapses"):
+            pt.element(p, shrinking, t_end)
+        with pytest.raises(ValueError, match="collapses"):
+            pt.f_integral(1, p, shrinking, t_end)
+    assert pt.element(p, shrinking, 5.0).total != 0j  # still shrinking, not collapsed
 
 
 def test_amplitudes_rejects_bad_grid(spec):

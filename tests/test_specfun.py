@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,17 @@ def test_bessel_zero_rejects_bad_index():
         sf.bessel_zero(-1, 1)
 
 
+def test_package_import_loads_no_scipy():
+    # bessel_zero imports scipy.special lazily; keep `import billiard2d` lean
+    src = Path(sf.__file__).resolve().parents[1]
+    code = ("import sys, billiard2d; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_gauss_legendre_small_rules():
     r1 = sf.gauss_legendre(1, -1.0, 1.0)
     assert r1.nodes[0] == pytest.approx(0.0, abs=1e-15)
@@ -129,7 +144,7 @@ def test_mode_make_radius_scaling(unit_spec):
 
 
 def test_mode_norm_closed_form(unit_spec):
-    # A^2 = 2 / (r0^2 J_{m+1}(a)^2); quadrature path must reproduce it
+    # A^2 = 2 / (r0^2 J_{m+1}(a)^2)
     for m, n in [(0, 1), (1, 1), (2, 3), (5, 8)]:
         mode = sf.mode_make(m, n, unit_spec)
         closed = math.sqrt(2.0) / (unit_spec.r0 * abs(sf.bessel_j(m + 1, mode.zero)))
@@ -143,10 +158,32 @@ def test_mode_norm_quadrature_oracle(unit_spec):
 
 
 def test_mode_norm_stable_under_quadrature_doubling(unit_spec):
+    # the closed-form norm against Gauss-Legendre quadrature of int r J^2 dr
+    # at the radial default order and at twice that order
     for m, n in [(0, 1), (4, 7)]:
-        a = sf.mode_make(m, n, unit_spec, npoints=128)
-        b = sf.mode_make(m, n, unit_spec, npoints=256)
-        assert abs(a.norm - b.norm) < 1e-10
+        mode = sf.mode_make(m, n, unit_spec)
+        for npoints in (128, 256):
+            rule = sf.gauss_legendre(npoints, 0.0, unit_spec.r0)
+            val = np.sum(rule.weights * rule.nodes
+                         * sf.bessel_j(m, mode.k * rule.nodes) ** 2)
+            assert abs(mode.norm - 1.0 / math.sqrt(val)) < 1e-10
+
+
+def test_radial_profile_derivatives_and_read_only(unit_spec):
+    for m, n in [(0, 1), (3, 2)]:
+        k = sf.mode_make(m, n, unit_spec).k
+        rule, j, dj, d2j = sf.radial_profile(m, n, unit_spec.r0, 64)
+        x = k * rule.nodes
+        assert np.max(np.abs(j - sf.bessel_j(m, x))) < 1e-14
+        assert np.max(np.abs(dj - k * sf.bessel_j_derivative(m, x))) < 1e-13
+        # second derivative against a central difference of the first
+        h = 1e-5
+        fd = k * (sf.bessel_j_derivative(m, x + k * h)
+                  - sf.bessel_j_derivative(m, x - k * h)) / (2 * h)
+        assert np.max(np.abs(d2j - fd)) < 1e-7 * k * k
+        for arr in (rule.nodes, rule.weights, j, dj, d2j):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_eigenmode_boundary_and_orthonormality(unit_spec):
