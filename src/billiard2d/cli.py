@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, pantograph, perturbation, specfun
-from .domain import BoundaryFunction, DomainSpec
+from .domain import BoundaryFunction, DomainSpec, disk_inner_product
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -50,7 +50,7 @@ class RunConfig:
         if self.gamma is None:
             self.gamma = 5.0 * self.kappa
         if self.t_end is None:
-            self.t_end = 5.0 / self.kappa if self.kappa > 0 else 5.0
+            self.t_end = 5.0 / self.kappa
         if not self.targets:
             m0, _ = self.initial
             if m0 == 0:
@@ -128,9 +128,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"unknown key '{key}'")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    cfg.resolve()
     cfg.validate()
-    return cfg
+    return cfg.resolve()
 
 
 def _fmt(x: float) -> str:
@@ -153,11 +152,6 @@ def _write_sidecar(path: Path, cfg: RunConfig) -> None:
                     encoding="utf-8")
 
 
-def _time_column(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
-    # report in 1/kappa units when the box dilates, raw time otherwise
-    return times * cfg.kappa if cfg.kappa > 0 else times
-
-
 def _task_modes(cfg: RunConfig, out: Path) -> None:
     spec = cfg.domain_spec()
     rows = []
@@ -172,7 +166,7 @@ def _task_pantograph(cfg: RunConfig, out: Path) -> None:
     state = pantograph.PantographicState.single(mode)
     times = np.linspace(0.0, cfg.t_end, cfg.n_samples)
     rows = []
-    for t, tr in zip(times, _time_column(cfg, times)):
+    for t, tr in zip(times, times * cfg.kappa):
         rows.append((tr,
                      pantograph.alpha(spec, t),
                      float(pantograph.beta(mode, spec, t)),
@@ -189,7 +183,7 @@ def _task_populations(cfg: RunConfig, out: Path) -> None:
     table = perturbation.amplitudes(initial, targets, spec, times)
     header = ["t"] + [f"P({m},{n})" for m, n in cfg.targets]
     cols = [table.population(tg) for tg in targets]
-    rows = list(zip(_time_column(cfg, times), *cols))
+    rows = list(zip(times * cfg.kappa, *cols))
     _write_csv(out, header, rows)
 
 
@@ -202,7 +196,7 @@ def _task_energy_rate(cfg: RunConfig, out: Path) -> None:
     energies = np.array([pantograph.mean_energy(state, spec, t) for t in times])
     h = times[1] - times[0]
     fd = np.gradient(energies, h, edge_order=2)
-    rows = list(zip(_time_column(cfg, times), energies, contact, fd))
+    rows = list(zip(times * cfg.kappa, energies, contact, fd))
     _write_csv(out, ["t", "energy", "rate_contact", "rate_fd"], rows)
 
 
@@ -219,7 +213,6 @@ def _task_validate(cfg: RunConfig, out: Path) -> int:
     gram_err = 0.0
     for i, a in enumerate(modes):
         for b in modes[i:]:
-            from .domain import disk_inner_product
             val = disk_inner_product(
                 lambda r, th, mo=a: specfun.eigenmode_value(mo, r, th),
                 lambda r, th, mo=b: specfun.eigenmode_value(mo, r, th), spec)
@@ -258,8 +251,8 @@ def _task_validate(cfg: RunConfig, out: Path) -> int:
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured task; returns a process exit status."""
-    cfg.resolve()
     cfg.validate()
+    cfg.resolve()
     out = Path(cfg.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -57,25 +57,27 @@ def grid_1d(spec: Box1DSpec) -> np.ndarray:
     return -0.5 * spec.x0 + spec.dx * np.arange(1, spec.nx + 1)
 
 
-def _shift(phi):
-    """phi_{i+1}, phi_{i-1} with zero Dirichlet ghosts."""
-    up = np.zeros_like(phi)
-    up[:-1] = phi[1:]
-    dn = np.zeros_like(phi)
-    dn[1:] = phi[:-1]
-    return up, dn
-
-
-def _dilation_apply(spec: Box1DSpec, phi):
-    # (1/2 + x d_x) in the symmetric split (x D + D x)/2: exactly
-    # anti-Hermitian on the uniform grid
+def _dilation_offdiag_1d(spec: Box1DSpec) -> np.ndarray:
+    """Upper off-diagonal of (1/2 + x d_x) = (x D + D x)/2; the lower is its
+    negative and the diagonal zero: exactly anti-Hermitian on the grid."""
     x = grid_1d(spec)
-    up, dn = _shift(phi)
-    xup = np.zeros_like(x)
-    xup[:-1] = x[1:]
-    xdn = np.zeros_like(x)
-    xdn[1:] = x[:-1]
-    return (x * (up - dn) + (xup * up - xdn * dn)) / (4.0 * spec.dx)
+    return (x[:-1] + x[1:]) / (4.0 * spec.dx)
+
+
+def _h_tridiag_1d(spec: Box1DSpec, t: float):
+    """(lower, diag, upper) of the transformed generator at time t."""
+    lam = float(spec.lam(t))
+    c = -spec.hbar**2 / (2.0 * spec.mu * lam**2)
+    off_gen = 1j * spec.hbar * spec.kappa / lam * _dilation_offdiag_1d(spec)
+    diag = np.full(spec.nx, -2.0 * c / spec.dx**2, dtype=complex)
+    return c / spec.dx**2 - off_gen, diag, c / spec.dx**2 + off_gen
+
+
+def _tridiag_matvec(lower, diag, upper, phi) -> np.ndarray:
+    out = diag * phi
+    out[:-1] += upper * phi[1:]
+    out[1:] += lower * phi[:-1]
+    return out
 
 
 def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
@@ -83,22 +85,13 @@ def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (spec.nx,):
         raise ValueError("phi must be sampled on the interior grid")
-    lam = float(spec.lam(t))
-    up, dn = _shift(phi)
-    lap = (up - 2.0 * phi + dn) / spec.dx**2
-    kinetic = -spec.hbar**2 / (2.0 * spec.mu * lam**2) * lap
-    dil = 1j * spec.hbar * (spec.kappa / lam) * _dilation_apply(spec, phi)
-    return kinetic + dil
+    return _tridiag_matvec(*_h_tridiag_1d(spec, t), phi)
 
 
 def dilation_matrix_1d(spec: Box1DSpec) -> np.ndarray:
     """Dense matrix of the (1/2 + x d_x) generator (anti-Hermiticity checks)."""
-    n = spec.nx
-    mat = np.zeros((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        mat[:, i] = _dilation_apply(spec, eye[:, i]).real
-    return mat
+    off = _dilation_offdiag_1d(spec)
+    return np.diag(off, 1) - np.diag(off, -1)
 
 
 def energy_rate_1d(spec: Box1DSpec, phi, t: float) -> float:
@@ -131,19 +124,6 @@ def box_eigenmode_1d(spec: Box1DSpec, n: int) -> np.ndarray:
     return np.sqrt(2.0 / spec.x0) * np.sin(n * math.pi * (x / spec.x0 + 0.5)) + 0j
 
 
-def _h_tridiag_1d(spec: Box1DSpec, t: float):
-    """(lower, diag, upper) of the transformed generator at time t."""
-    x = grid_1d(spec)
-    lam = float(spec.lam(t))
-    c = -spec.hbar**2 / (2.0 * spec.mu * lam**2)
-    cd = 1j * spec.hbar * spec.kappa / lam
-    off_gen = (x[:-1] + x[1:]) / (4.0 * spec.dx)
-    diag = np.full(spec.nx, -2.0 * c / spec.dx**2, dtype=complex)
-    upper = c / spec.dx**2 + cd * off_gen
-    lower = c / spec.dx**2 - cd * off_gen
-    return lower, diag, upper
-
-
 def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.ndarray:
     """Crank-Nicolson propagation of the transformed 1D generator.
 
@@ -159,10 +139,7 @@ def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.nd
     z = 0.5j * h / spec.hbar
     for _ in range(nsteps):
         lower, diag, upper = _h_tridiag_1d(spec, t + 0.5 * h)
-        # rhs = (I - z H) phi
-        rhs = (1.0 - z * diag) * phi
-        rhs[:-1] -= z * upper * phi[1:]
-        rhs[1:] -= z * lower * phi[:-1]
+        rhs = phi - z * _tridiag_matvec(lower, diag, upper, phi)  # (I - z H) phi
         ab = np.zeros((3, spec.nx), dtype=complex)
         ab[0, 1:] = z * upper
         ab[1, :] = 1.0 + z * diag

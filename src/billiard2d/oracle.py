@@ -13,7 +13,8 @@ polar origin is handled by parity ghosts: the point (-r, theta) is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -39,6 +40,51 @@ __all__ = [
 ]
 
 MIN_GRID = 16
+
+
+def _grid_radii(nr: int, r0: float) -> np.ndarray:
+    """Radial nodes r_j = (j + 1/2) dr with dr = r0 / (nr - 1/2)."""
+    return (np.arange(nr) + 0.5) * (r0 / (nr - 0.5))
+
+
+@lru_cache(maxsize=32)
+def _radial_stencils(nr: int, r0: float) -> dict:
+    """Each radial three-point stencil of H_eff as read-only (lower, diag,
+    upper) arrays of length nr; lower[0] multiplies the parity ghost
+    (r_0, theta + pi)."""
+    dr = r0 / (nr - 0.5)
+    r = _grid_radii(nr, r0)
+    rm = r - 0.5 * dr
+    rm[0] = 0.0  # flux through the origin vanishes exactly
+    # The dilation (1 + r d_r) = (1/2r) d_r(r^2 .) + (r/2) d_r drops the
+    # origin ghost: the parity self-coupling it would induce at the first row
+    # is w-symmetric, i.e. pure Hermitian contamination of an anti-Hermitian
+    # generator, and anti-symmetrizing removes it exactly.  The ghost-free
+    # tridiagonal satisfies w_j U_j = -w_{j+1} L_{j+1} identically, which is
+    # what makes CN norm-conserving to round-off.
+    dil_dn = (r - dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr)
+    dil_dn[0] = 0.0
+    d1, d2, zero = 1.0 / (2.0 * dr * r), np.full(nr, 1.0 / (dr * dr)), np.zeros(nr)
+    stencils = {  # lap is (1/r) d_r (r d_r) in flux form
+        "lap": (rm / (r * dr * dr), -2.0 * d2, (r + 0.5 * dr) / (r * dr * dr)),
+        "dil": (-dil_dn, zero, (r + dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr)),
+        "inv_r2": (zero, 1.0 / r**2, zero),
+        "dr_r": (-d1, zero, d1),  # (1/r) d_r, centred
+        "drr": (d2, -2.0 * d2, d2),
+    }
+    for band in (b for bands in stencils.values() for b in bands):
+        band.setflags(write=False)
+    return stencils
+
+
+@lru_cache(maxsize=32)
+def _spectral_multipliers(ntheta: int) -> np.ndarray:
+    """Read-only (i m)^p, p = 0, 1, 2, in FFT order; no Nyquist in p = 1."""
+    m = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
+    mult = np.array([np.ones(ntheta), 1j * m, -(m**2)])
+    mult[1, ntheta // 2] = 0.0
+    mult.setflags(write=False)
+    return mult
 
 
 @dataclass
@@ -71,7 +117,7 @@ class GridWavefunction:
         return self.r0 / (self.nr - 0.5)
 
     def radii(self) -> np.ndarray:
-        return (np.arange(self.nr) + 0.5) * self.dr
+        return _grid_radii(self.nr, self.r0)
 
     def thetas(self) -> np.ndarray:
         return np.arange(self.ntheta) * (2.0 * math.pi / self.ntheta)
@@ -121,96 +167,54 @@ class EffectiveOperator:
     c34: np.ndarray     # x d_rr
     c35: np.ndarray     # x (1/r) d_r d_theta
     pantographic: bool
-
-    @property
-    def dr(self) -> float:
-        return self.r0 / (self.nr - 0.5)
+    _band_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def radii(self) -> np.ndarray:
-        return (np.arange(self.nr) + 0.5) * self.dr
+        return _grid_radii(self.nr, self.r0)
 
-    def _geom(self):
-        """Cached grid geometry shared by the stencil applications."""
-        cache = getattr(self, "_geom_cache", None)
-        if cache is None:
-            r = self.radii()[:, None]
-            dr = self.dr
-            rp = r + 0.5 * dr
-            rm = r - 0.5 * dr
-            rm[0, 0] = 0.0  # flux through the origin vanishes exactly
-            mvec = np.fft.fftfreq(self.ntheta, d=1.0 / self.ntheta)
-            m1 = 1j * mvec
-            m1[self.ntheta // 2] = 0.0  # drop Nyquist for the odd derivative
-            cache = {
-                "r": r,
-                "inv_r2": 1.0 / r**2,
-                "lap_up": rp / (r * dr * dr),
-                "lap_dn": rm / (r * dr * dr),
-                "dil_up": (r + dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr),
-                "dil_dn": (r - dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr),
-                "m1": m1,
-                "m2": -(mvec**2),
-            }
-            object.__setattr__(self, "_geom_cache", cache)
-        return cache
+    @property
+    def terms(self) -> list:
+        """H_eff as (part, coefficient(theta), radial stencil, p) terms, each
+        coefficient x stencil acting on d_theta^p."""
+        terms = [("1", self.c_lap, "lap", 0), ("1", self.c_lap, "inv_r2", 2),
+                 ("2", 1j * self.hbar * self.c_dil, "dil", 0)]
+        if not self.pantographic:
+            terms += [("3", self.c31, "inv_r2", 0), ("3", self.c32, "dr_r", 0),
+                      ("3", self.c33, "inv_r2", 1), ("3", self.c34, "drr", 0),
+                      ("3", self.c35, "dr_r", 1)]
+        return terms
 
-    # -- stencil pieces ----------------------------------------------------
-
-    def _shifted(self, v, origin_ghost=True):
-        vp = np.empty_like(v)
-        vp[:-1] = v[1:]
-        vp[-1] = 0.0
-        vm = np.empty_like(v)
-        vm[1:] = v[:-1]
-        if origin_ghost:
-            vm[0] = np.roll(v[0], self.ntheta // 2)  # (-r, th) is (r, th + pi)
-        else:
-            vm[0] = 0.0
-        return vp, vm
-
-    def _dtheta(self, v, order=1):
-        g = self._geom()
-        mul = g["m1"] if order == 1 else g["m2"]
-        return np.fft.ifft(np.fft.fft(v, axis=1) * mul[None, :], axis=1)
-
-    def _laplacian(self, v):
-        g = self._geom()
-        vp, vm = self._shifted(v)  # ghost row is multiplied by zero below
-        radial = g["lap_up"] * (vp - v) - g["lap_dn"] * (v - vm)
-        return radial + self._dtheta(v, order=2) * g["inv_r2"]
-
-    def _dilation(self, v):
-        # symmetrized (1 + r d_r) = (1/2r) d_r(r^2 .) + (r/2) d_r.  The origin
-        # ghost is dropped: the parity self-coupling it would induce at the
-        # first row is w-symmetric, i.e. pure Hermitian contamination of an
-        # anti-Hermitian generator, and anti-symmetrizing removes it exactly.
-        # The ghost-free tridiagonal satisfies w_j U_j = -w_{j+1} L_{j+1}
-        # identically, which is what makes CN norm-conserving to round-off.
-        g = self._geom()
-        vp, vm = self._shifted(v, origin_ghost=False)
-        return g["dil_up"] * vp - g["dil_dn"] * vm
+    def _bands(self, parts: str) -> dict:
+        """{p: (lower, diag, upper)} of the ``parts`` terms summed per p, each
+        band (nr, ntheta) or None where all zero; cached per ``parts``."""
+        if parts not in self._band_cache:
+            stencils = _radial_stencils(self.nr, self.r0)
+            sums: dict = {}
+            for part, coeff, name, p in self.terms:
+                if part in parts:
+                    acc = sums.setdefault(p, [None] * 3)
+                    for k, band in enumerate(stencils[name]):
+                        if band.any():  # 1/r^2 is diagonal only
+                            term = band[:, None] * coeff
+                            acc[k] = term if acc[k] is None else acc[k] + term
+            self._band_cache[parts] = dict(sorted(sums.items()))
+        return self._band_cache[parts]
 
     def apply(self, v: np.ndarray, parts: str = "123") -> np.ndarray:
-        g = self._geom()
         out = np.zeros_like(v, dtype=complex)
-        if "1" in parts:
-            out += self.c_lap[None, :] * self._laplacian(v)
-        if "2" in parts:
-            out += 1j * self.hbar * self.c_dil[None, :] * self._dilation(v)
-        if "3" in parts and not self.pantographic:
-            r = g["r"]
-            dr = self.dr
-            vp, vm = self._shifted(v)
-            d1 = (vp - vm) / (2.0 * dr)
-            d2 = (vp - 2.0 * v + vm) / (dr * dr)
-            dth = self._dtheta(v)
-            dthp, dthm = self._shifted(dth)
-            d1th = (dthp - dthm) / (2.0 * dr)
-            out += (self.c31[None, :] * v * g["inv_r2"]
-                    + self.c32[None, :] * d1 / r
-                    + self.c33[None, :] * dth * g["inv_r2"]
-                    + self.c34[None, :] * d2
-                    + self.c35[None, :] * d1th / r)
+        mult = _spectral_multipliers(self.ntheta)
+        vhat = None
+        for p, (lower, diag, upper) in self._bands(parts).items():
+            if p and vhat is None:
+                vhat = np.fft.fft(v, axis=1)  # shared by p = 1 and p = 2
+            w = np.fft.ifft(vhat * mult[p], axis=1) if p else v
+            if diag is not None:
+                out += diag * w
+            if upper is not None:
+                out[:-1] += upper[:-1] * w[1:]
+            if lower is not None:
+                out[1:] += lower[1:] * w[:-1]
+                out[0] += lower[0] * np.roll(w[0], self.ntheta // 2)
         out[-1, :] = 0.0
         return out
 
@@ -220,36 +224,18 @@ class EffectiveOperator:
         """Per-angular-wavenumber tridiagonals of the theta-averaged operator.
 
         Returns (lower, diag, upper) arrays of shape (nr - 1, ntheta) over the
-        interior radial rows, Fourier index along axis 1.  For a pantographic
-        boundary these blocks ARE the operator.
+        interior radial rows, Fourier index along axis 1: the theta means of
+        the H1 and H2 terms times (i m)^p.  For a pantographic boundary these
+        blocks ARE the operator.
         """
         ni = self.nr - 1
-        r = self.radii()[:ni]
-        dr = self.dr
-        mvec = np.fft.fftfreq(self.ntheta, d=1.0 / self.ntheta)
-        cl = np.mean(self.c_lap)
-        cd = np.mean(self.c_dil)
-
-        rp = r + 0.5 * dr
-        rm = r - 0.5 * dr
-        rm[0] = 0.0
-        low_l = rm / (r * dr * dr)
-        up_l = rp / (r * dr * dr)
-        diag_l = -2.0 / (dr * dr) * np.ones(ni)
-
-        up_g = (r + dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr)
-        low_g = -((r - dr) ** 2 / (4.0 * dr * r) + r / (4.0 * dr))
-
-        low_g[0] = 0.0  # ghost-free origin row, matching _dilation
-
-        lower = np.empty((ni, self.ntheta), dtype=complex)
-        diag = np.empty((ni, self.ntheta), dtype=complex)
-        upper = np.empty((ni, self.ntheta), dtype=complex)
-        lower[:] = (cl * low_l + 1j * self.hbar * cd * low_g)[:, None]
-        upper[:] = (cl * up_l + 1j * self.hbar * cd * up_g)[:, None]
-        diag[:] = (cl * diag_l)[:, None]
-        diag += cl * (-(mvec**2))[None, :] / (r**2)[:, None]
-        return lower, diag, upper
+        stencils = _radial_stencils(self.nr, self.r0)
+        mult = _spectral_multipliers(self.ntheta)
+        radial: dict = {}
+        for part, coeff, name, p in self.terms:
+            if part in "12":
+                radial[p] = radial.get(p, 0) + np.mean(coeff) * np.array(stencils[name])[:, :ni]
+        return tuple(sum(bands[:, :, None] * mult[p] for p, bands in radial.items()))
 
 
 def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
@@ -268,12 +254,7 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
     rv = boundary.value(theta, t)
     rt = boundary.dt(theta, t)
     q = 1.0 / rv
-    mvec = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
-    qh = np.fft.fft(q)
-    m1 = 1j * mvec.copy()
-    m1[ntheta // 2] = 0.0
-    qth = np.fft.ifft(qh * m1).real
-    qthth = np.fft.ifft(qh * (-(mvec**2))).real
+    qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
     pref = -spec.hbar**2 / (2.0 * spec.mu)
     pan = bool(boundary.pantographic)
     zeros = np.zeros(ntheta)
@@ -338,6 +319,11 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
     angular coupling to convergence; for a pantographic boundary the
     preconditioner is the exact operator and a single sweep suffices.
     Raises RuntimeError if a step's linear solve stalls (dt too large).
+
+    The pantographic operator is Hermitian under the grid weights r_j, so
+    the step conserves the grid norm to round-off.  The H3 stencil of a
+    deformed boundary is not, so there the norm drifts: slowly for smooth
+    states, faster for rough ones.
     """
     psi = psi0.copy()
     total = t1 - psi.time

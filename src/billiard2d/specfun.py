@@ -12,6 +12,7 @@ tables are read-only.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -273,7 +274,9 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
     pre-split so the optional ``phase`` function varies by at most pi/4 per
     panel (oscillatory integrands), then refined by comparing embedded
     7- and 15-point Gauss rules until the local error estimate is below
-    ``abs_tol`` scaled by the panel fraction.
+    ``abs_tol`` scaled by the panel fraction.  Panels still above it at
+    ``max_depth`` are accepted with a UserWarning; a non-finite panel
+    estimate raises ValueError.
     """
     if b < a:
         raise ValueError("need b >= a")
@@ -309,14 +312,25 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
         return i15, np.max(np.abs(i15 - i7))
 
     total = None
+    unconverged = []
     stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
     while stack:
         lo, hi, depth = stack.pop()
         val, err = panel(lo, hi)
-        if err > abs_tol * max((hi - lo) / total_width, 1e-3) and depth < max_depth:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-        else:
-            total = val if total is None else total + val
+        if not math.isfinite(err):  # also catches a non-finite val
+            raise ValueError(f"non-finite integrand estimate on [{lo!r}, {hi!r}]")
+        if err > abs_tol * max((hi - lo) / total_width, 1e-3):
+            if depth < max_depth:
+                mid = 0.5 * (lo + hi)
+                stack.append((lo, mid, depth + 1))
+                stack.append((mid, hi, depth + 1))
+                continue
+            unconverged.append((lo, hi))
+        total = val if total is None else total + val
+    if unconverged:
+        lo = min(p[0] for p in unconverged)
+        hi = max(p[1] for p in unconverged)
+        warnings.warn(f"adaptive_quad_vec: {len(unconverged)} panel(s) in "
+                      f"[{lo!r}, {hi!r}] reached max_depth={max_depth} above "
+                      "their error tolerance", UserWarning, stacklevel=2)
     return total

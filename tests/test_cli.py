@@ -32,6 +32,14 @@ def test_parse_rejects_out_of_range_t_end():
         cli.parse_config("kappa = 1.0\nt_end = 500\n")
 
 
+@pytest.mark.parametrize("kappa", [0.0, -0.1])
+def test_static_or_shrinking_box_rejected(kappa, tmp_path):
+    with pytest.raises(ValueError, match="kappa"):
+        cli.parse_config(f"kappa = {kappa}\n")
+    with pytest.raises(ValueError, match="kappa"):
+        cli.run(cli.RunConfig(kappa=kappa, out=str(tmp_path / "x.csv")))
+
+
 def test_parse_task_and_initial():
     cfg = cli.parse_config("task = populations\ninitial = 0 1\n")
     assert cfg.task == "populations"

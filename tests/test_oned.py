@@ -116,6 +116,19 @@ def test_cn_norm_conservation_1d():
     assert abs(n1 - n0) < 1e-8 * 2.0
 
 
+def test_cn_step_solves_its_own_equation():
+    # one step satisfies (I + z H) phi1 = (I - z H) phi0, H at the half step
+    spec = oned.Box1DSpec(kappa=0.1, nx=64)
+    rng = np.random.default_rng(5)
+    phi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
+    t0, h = 0.4, 0.01
+    phi1 = oned.propagate_1d(spec, phi0, t0, t0 + h, h)
+    z = 0.5j * h / spec.hbar
+    lhs = phi1 + z * oned.apply_h1d(spec, phi1, t0 + 0.5 * h)
+    rhs = phi0 - z * oned.apply_h1d(spec, phi0, t0 + 0.5 * h)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
 def test_apply_h1d_rejects_wrong_shape():
     spec = oned.Box1DSpec(nx=64)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billiard2d import oracle
 from billiard2d import pantograph as pg
@@ -85,6 +87,58 @@ def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
     circ = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     opc = deformed_factory(circ, 64, 16)(3.0)
     assert np.max(np.abs(opc.apply(v, parts="3"))) < 1e-12
+
+
+def test_pantographic_apply_is_its_mean_blocks(dilating_spec):
+    # the blocks applied in Fourier space reproduce apply on the interior rows
+    nr, ntheta = 48, 16
+    op = pantographic_factory(dilating_spec, nr, ntheta)(0.7)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta))
+    v[-1] = 0.0
+    lower, diag, upper = op.mean_blocks()
+    vhat = np.fft.fft(v, axis=1)
+    hv = diag * vhat[:-1]
+    hv[:-1] += upper[:-1] * vhat[1:-1]
+    hv[1:] += lower[1:] * vhat[:-2]
+    got = op.apply(v)[:-1]
+    assert np.max(np.abs(got - np.fft.ifft(hv, axis=1))) <= 1e-12 * np.max(np.abs(got))
+
+
+def _dilating_factory(nr, ntheta, kappa):
+    spec = DomainSpec(kappa=kappa, gamma=5.0 * kappa, epsilon=0.0)
+    return pantographic_factory(spec, nr, ntheta)
+
+
+random_grids = {
+    "nr": st.integers(16, 48),
+    "ntheta": st.integers(8, 16).map(lambda k: 2 * k),
+    "kappa": st.floats(0.02, 0.3),
+    "t": st.floats(0.0, 3.0),
+}
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(**random_grids)
+def test_mean_blocks_hermitian_under_grid_weights(nr, ntheta, kappa, t):
+    op = _dilating_factory(nr, ntheta, kappa)(t)
+    lower, diag, upper = op.mean_blocks()
+    w = op.radii()[:nr - 1, None]
+    scale = np.max(np.abs(w * diag))
+    assert np.max(np.abs(w[:-1] * upper[:-1] - np.conj(w[1:] * lower[1:]))) <= 1e-14 * scale
+    assert np.max(np.abs(diag.imag)) <= 1e-14 * scale
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), **random_grids)
+def test_pantographic_cn_conserves_random_field_norm(seed, nr, ntheta, kappa, t):
+    factory = _dilating_factory(nr, ntheta, kappa)
+    rng = np.random.default_rng(seed)
+    psi = oracle.GridWavefunction(
+        rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta)), 1.0, t)
+    psi = oracle.GridWavefunction(psi.values / psi.norm(), 1.0, t)
+    out = oracle.propagate(factory, psi, t + 0.1, 0.01)
+    assert abs(out.norm() - 1.0) <= 1e-12
 
 
 def test_apply_heff_first_order_cross_check(unit_spec):

@@ -213,6 +213,7 @@ def test_gram_matrix_small_basis(unit_spec):
     assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_adaptive_quad_vec_polynomial_and_oscillatory():
     val = sf.adaptive_quad_vec(lambda s: np.stack([s**3, np.cos(s)]), 0.0, 2.0, 1e-12)
     assert val[0] == pytest.approx(4.0, abs=1e-11)
@@ -223,3 +224,21 @@ def test_adaptive_quad_vec_polynomial_and_oscillatory():
                                0.0, 1.0, 1e-12, phase=lambda s: w * s)
     exact = (np.exp(1j * w) - 1.0) / (1j * w)
     assert abs(got[0] - exact) < 1e-11
+
+
+def _inverse_sqrt_singularity(s):
+    return np.abs(s - math.pi / 10)[None, :] ** -0.5
+
+
+def test_adaptive_quad_vec_warns_at_depth_limit():
+    with np.errstate(divide="ignore"), pytest.warns(UserWarning, match=r"max_depth=10"):
+        sf.adaptive_quad_vec(_inverse_sqrt_singularity, 0.0, 1.0, 1e-12, max_depth=10)
+
+
+def test_adaptive_quad_vec_rejects_non_finite_panels():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite .* \[-1.0, 1.0\]"):
+            sf.adaptive_quad_vec(lambda s: (1.0 / s)[None, :], -1.0, 1.0, 1e-9)
+        # refinement reaches a node on the singularity; used to return nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.adaptive_quad_vec(_inverse_sqrt_singularity, 0.0, 1.0, 1e-12)
