@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DomainSpec
-from .specfun import (
-    BesselMode,
-    bessel_j,
-    bessel_j_derivative,
-    eigenmode_value,
-    gauss_legendre,
-)
+from .specfun import RADIAL_QUAD_POINTS, BesselMode, _bessel_j_pair, radial_profile
 
 __all__ = [
     "PantographicState",
@@ -35,6 +29,9 @@ __all__ = [
     "mean_energy",
 ]
 
+_ENERGY_THETA = 256  # angular nodes of the mean-energy quadrature
+_RATE_THETA = 512    # angular nodes of the rim integral in energy_rate
+
 
 def alpha(spec: DomainSpec, t) -> float:
     """Quadratic phase coefficient mu * lam * lamdot / (2 hbar).
@@ -45,28 +42,26 @@ def alpha(spec: DomainSpec, t) -> float:
     return spec.mu * spec.lam(t) * spec.kappa / (2.0 * spec.hbar)
 
 
-def beta(mode: BesselMode, spec: DomainSpec, t, beta0: float = 0.0) -> float:
-    """Accumulated mode phase beta0 - (E/hbar) * t / (1 + kappa t).
+def beta(mode: BesselMode, spec: DomainSpec, t) -> float:
+    """Accumulated mode phase -(E/hbar) * t / (1 + kappa t), with beta(0) = 0.
 
     Closed antiderivative of -E / (hbar lam(s)^2); reduces to the static-box
-    phase beta0 - E t / hbar when kappa = 0.
+    phase -E t / hbar when kappa = 0.
     """
     t = np.asarray(t, dtype=float)
-    return beta0 - (mode.energy / spec.hbar) * t / (1.0 + spec.kappa * t)
+    # 0.0 - x rather than -x, so that beta(0) is +0.0, not -0.0
+    return 0.0 - (mode.energy / spec.hbar) * t / (1.0 + spec.kappa * t)
 
 
-def phi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t, beta0: float = 0.0):
+def phi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
     """Fixed-picture exact solution e^{i(alpha r^2 + beta)} chi_{mn}(r, theta)."""
-    phase = alpha(spec, t) * np.asarray(r, dtype=float) ** 2 + beta(mode, spec, t, beta0)
-    return np.exp(1j * phase) * eigenmode_value(mode, r, theta)
+    return PantographicState.single(mode).value(spec, r, theta, t)
 
 
-def psi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t, beta0: float = 0.0):
+def psi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
     """Moving-picture solution; vanishes on the moving wall r = lam(t) r0."""
     lam = spec.lam(t)
-    s = np.asarray(r, dtype=float) / lam
-    phase = beta(mode, spec, t, beta0) + alpha(spec, t) * s**2
-    return np.exp(1j * phase) * eigenmode_value(mode, s, theta) / lam
+    return phi_exact(mode, spec, np.asarray(r, dtype=float) / lam, theta, t) / lam
 
 
 @dataclass(frozen=True)
@@ -74,21 +69,18 @@ class PantographicState:
     """Superposition over exact pantographic solutions with fixed weights.
 
     Amplitudes are constants of motion; only the phases alpha(t), beta_k(t)
-    evolve.  Provides pointwise value and analytic derivatives of the
+    evolve.  Provides pointwise value and analytic radial derivative of the
     fixed-picture wavefunction, which is what the energy diagnostics need.
     """
 
     modes: tuple
     amplitudes: tuple
-    beta0: tuple = field(default=())
 
     def __post_init__(self):
         if len(self.modes) != len(self.amplitudes):
             raise ValueError("one amplitude per mode")
-        if not self.beta0:
-            object.__setattr__(self, "beta0", tuple(0.0 for _ in self.modes))
         total = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also rejects nan and inf
             raise ValueError(f"state not normalized: sum |c|^2 = {total!r}")
 
     @staticmethod
@@ -98,42 +90,44 @@ class PantographicState:
     @staticmethod
     def superposition(modes, amplitudes) -> "PantographicState":
         amps = np.asarray(amplitudes, dtype=complex)
-        amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        return PantographicState(tuple(modes), tuple(amps))
+        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"amplitudes need a finite nonzero norm, got {norm!r}")
+        return PantographicState(tuple(modes), tuple(amps / norm))
 
-    def _phases(self, spec, t):
-        return [beta(m, spec, t, b0) for m, b0 in zip(self.modes, self.beta0)]
+    def _angular(self, spec: DomainSpec, theta, t):
+        """(mode, c A e^{i(m theta + beta)} / sqrt(2 pi)) for each mode."""
+        theta = np.asarray(theta, dtype=float)
+        pref = (2.0 * math.pi) ** -0.5
+        return [(mode, c * pref * mode.norm
+                 * np.exp(1j * (mode.m * theta + beta(mode, spec, t))))
+                for mode, c in zip(self.modes, self.amplitudes)]
+
+    def _field(self, spec: DomainSpec, r, theta, t):
+        """phi and d_r phi; time enters only through alpha and beta.
+
+        Radial J_{|m|}(k r) and k J' times the angular factors, dressed with
+        e^{i alpha r^2}, which adds 2 i alpha r phi to d_r phi.
+        """
+        r = np.asarray(r, dtype=float)
+        u = du = 0.0
+        for mode, ang in self._angular(spec, theta, t):
+            j, jp = _bessel_j_pair(abs(mode.m), mode.k * r)
+            u = u + j * ang
+            du = du + mode.k * jp * ang
+        a = alpha(spec, t)
+        dress = np.exp(1j * a * r**2)
+        return dress * u, dress * (du + 2j * a * r * u)
 
     def value(self, spec: DomainSpec, r, theta, t):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(np.broadcast(r, np.asarray(theta)).shape, dtype=complex)
-        for mode, c, b in zip(self.modes, self.amplitudes, self._phases(spec, t)):
-            out = out + c * np.exp(1j * b) * eigenmode_value(mode, r, theta)
-        return out * np.exp(1j * alpha(spec, t) * r**2)
+        return self._field(spec, r, theta, t)[0]
 
     def d_dr(self, spec: DomainSpec, r, theta, t):
         """Radial derivative, analytic: phase term plus k A J' e^{im theta}."""
-        r = np.asarray(r, dtype=float)
-        a = alpha(spec, t)
-        base = np.zeros(np.broadcast(r, np.asarray(theta)).shape, dtype=complex)
-        dbase = np.zeros_like(base)
-        pref = (2.0 * math.pi) ** -0.5
-        for mode, c, b in zip(self.modes, self.amplitudes, self._phases(spec, t)):
-            ang = np.exp(1j * (mode.m * np.asarray(theta, dtype=float) + b))
-            base = base + c * ang * pref * mode.norm * bessel_j(abs(mode.m), mode.k * r)
-            dbase = dbase + c * ang * pref * mode.norm * mode.k * bessel_j_derivative(
-                abs(mode.m), mode.k * r)
-        return np.exp(1j * a * r**2) * (dbase + 2j * a * r * base)
-
-    def d_dtheta(self, spec: DomainSpec, r, theta, t):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(np.broadcast(r, np.asarray(theta)).shape, dtype=complex)
-        for mode, c, b in zip(self.modes, self.amplitudes, self._phases(spec, t)):
-            out = out + 1j * mode.m * c * np.exp(1j * b) * eigenmode_value(mode, r, theta)
-        return out * np.exp(1j * alpha(spec, t) * r**2)
+        return self._field(spec, r, theta, t)[1]
 
 
-def energy_rate(state, spec: DomainSpec, t, ntheta: int = 512) -> float:
+def energy_rate(state, spec: DomainSpec, t) -> float:
     """Boundary-contact energy rate for pantographic dilation.
 
     Edot = -(hbar^2 lamdot / (2 mu lam^3)) * int_0^{2pi} r0^2 |d_r phi|^2 dtheta
@@ -142,31 +136,36 @@ def energy_rate(state, spec: DomainSpec, t, ntheta: int = 512) -> float:
     ill-conditioned exactly where this integrand lives).  Nonpositive for a
     dilating box.
     """
-    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
+    theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
     rim = np.abs(state.value(spec, spec.r0, theta, t))
     if rim.max() > 1e-8:
         warnings.warn(
             "state does not vanish on the fixed boundary; contact-term "
             "energy rate is meaningless", stacklevel=2)
-    grad = state.d_dr(spec, np.full_like(theta, spec.r0), theta, t)
-    integral = float(np.sum(np.abs(grad) ** 2) * (2.0 * math.pi / ntheta)) * spec.r0**2
+    grad = state.d_dr(spec, spec.r0, theta, t)
+    integral = float(np.sum(np.abs(grad) ** 2) * (2.0 * math.pi / _RATE_THETA)) * spec.r0**2
     lam = float(spec.lam(t))
     pref = -(spec.hbar**2) * spec.kappa / (2.0 * spec.mu * lam**3)
     return pref * integral
 
 
-def mean_energy(state, spec: DomainSpec, t, nr: int = 128, ntheta: int = 256) -> float:
+def mean_energy(state, spec: DomainSpec, t) -> float:
     """<phi| -hbar^2/(2 mu lam^2) nabla^2 |phi> by quadrature.
 
     Computed in the integrated-by-parts form hbar^2/(2 mu lam^2) * int
-    ||grad phi||^2 so only first derivatives of the state are needed.
+    ||grad phi||^2 so only first derivatives of the state are needed.  The
+    radial factors come from the shared radial table; the unit-modulus
+    dressing e^{i alpha r^2} cancels in |grad phi|^2 and is left out.
     """
-    rule = gauss_legendre(nr, 0.0, spec.r0)
-    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    rr, tt = np.meshgrid(rule.nodes, theta, indexing="ij")
-    dr = state.d_dr(spec, rr, tt, t)
-    dth = state.d_dtheta(spec, rr, tt, t)
-    dens = (np.abs(dr) ** 2 + np.abs(dth) ** 2 / rr**2) * rr
-    integral = float((dens * rule.weights[:, None]).sum() * (2.0 * math.pi / ntheta))
+    theta = np.arange(_ENERGY_THETA) * (2.0 * math.pi / _ENERGY_THETA)
+    u = du = dth = 0.0
+    for mode, ang in state._angular(spec, theta, t):
+        rule, j, jp, _ = radial_profile(abs(mode.m), mode.n, spec.r0, RADIAL_QUAD_POINTS)
+        u = u + np.outer(j, ang)
+        du = du + np.outer(jp, ang)
+        dth = dth + np.outer(j / rule.nodes, 1j * mode.m * ang)
+    r = rule.nodes[:, None]
+    dens = (np.abs(du + 2j * alpha(spec, t) * r * u) ** 2 + np.abs(dth) ** 2) * r
+    integral = float((dens * rule.weights[:, None]).sum() * (2.0 * math.pi / _ENERGY_THETA))
     lam = float(spec.lam(t))
     return spec.hbar**2 / (2.0 * spec.mu * lam**2) * integral

@@ -68,7 +68,6 @@ class ElementBreakdown:
     h3: complex
     fvals: tuple          # F^(1)..F^(5) time integrals
     wvals: tuple | None   # W^(1)..W^(4) radial integrals (None if forbidden)
-    xi: object = field(default=None, compare=False)  # phase evaluator s -> xi(s)
 
     @property
     def total(self) -> complex:
@@ -130,9 +129,13 @@ def w_integral(k: int, pair: ModePair, spec: DomainSpec,
     return _w_values(pair, spec, npoints)[k - 1]
 
 
-def _f_weight_stack(spec: DomainSpec, de: float):
-    """Integrands of F^(1)..F^(5) as one vector-valued function of s."""
-    hbar, mu = spec.hbar, spec.mu
+def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray:
+    """F^(1)..F^(5) at each of the increasing `times`, shape (len(times), 5).
+
+    One vector integrand, integrated between consecutive times and summed.
+    """
+    hbar, mu, ld = spec.hbar, spec.mu, spec.kappa
+    de = pair.target.energy - pair.source.energy
 
     def phase(s):
         return de * s / (hbar * (1.0 + spec.kappa * s))
@@ -140,7 +143,6 @@ def _f_weight_stack(spec: DomainSpec, de: float):
     def f(svals):
         s = np.atleast_1d(np.asarray(svals, dtype=float))
         lam = spec.lam(s)
-        ld = spec.kappa
         g = spec.g(s)
         gd = spec.gdot(s)
         ph = np.exp(1j * phase(s))
@@ -152,7 +154,15 @@ def _f_weight_stack(spec: DomainSpec, de: float):
             -0.5 * mu * gd * lam * ld * ph,
         ])
 
-    return f, phase
+    out = np.zeros((len(times), 5), dtype=complex)
+    fcum = np.zeros(5, dtype=complex)
+    prev = 0.0
+    for i, t in enumerate(times):
+        if t > prev:
+            fcum = fcum + adaptive_quad_vec(f, prev, float(t), tol, phase=phase)
+            prev = float(t)
+        out[i] = fcum
+    return out
 
 
 def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
@@ -161,15 +171,11 @@ def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
     if k not in (1, 2, 3, 4, 5):
         raise ValueError("f_integral index must be 1..5")
     _check_span(spec, t)
-    de = pair.target.energy - pair.source.energy
-    f, phase = _f_weight_stack(spec, de)
-    vals = adaptive_quad_vec(f, 0.0, float(t), abs_tol, phase=phase)
-    return complex(vals[k - 1])
+    return complex(_f_values(pair, spec, [t], abs_tol)[0, k - 1])
 
 
-def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals,
-              xi_fn=None) -> ElementBreakdown:
-    """Combine F and W integrals into the three operator contributions.
+def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
+    """Combine F and W integrals into the three operator contributions (h1, h2, h3).
 
     The cos(theta) profile contributes (delta+ + delta-)/2 from the angular
     integral; the H3 operator's 2 sin(theta) d_theta part promotes that to
@@ -184,9 +190,7 @@ def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals,
     h2 = eps * (f4 * (w2 + w4) + f5 * w3)
     mpref = (0.5 + sm) if pair.delta_plus else (0.5 - sm)
     h3 = -eps * mpref * (f1 * w1 + 0.5 * f2 * w2)
-    return ElementBreakdown(h1=complex(h1), h2=complex(h2), h3=complex(h3),
-                            fvals=tuple(map(complex, fvals)),
-                            wvals=tuple(wvals), xi=xi_fn)
+    return complex(h1), complex(h2), complex(h3)
 
 
 def element(pair: ModePair, spec: DomainSpec, t: float,
@@ -199,11 +203,11 @@ def element(pair: ModePair, spec: DomainSpec, t: float,
     _check_span(spec, t)
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
-    de = pair.target.energy - pair.source.energy
-    f, phase = _f_weight_stack(spec, de)
-    fvals = adaptive_quad_vec(f, 0.0, float(t), f_tol, phase=phase)
+    fvals = _f_values(pair, spec, [t], f_tol)[0]
     wvals = _w_values(pair, spec, w_points)
-    return _assemble(pair, spec, fvals, wvals, xi_fn=phase)
+    h1, h2, h3 = _assemble(pair, spec, fvals, wvals)
+    return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals)),
+                            wvals=tuple(wvals))
 
 
 @dataclass
@@ -236,17 +240,10 @@ def _amplitude_row(initial, target, spec, times, w_points, f_tol):
     out = np.full(len(times), delta, dtype=complex)
     if not pair.allowed:
         return out
-    de = target.energy - initial.energy
-    f, phase = _f_weight_stack(spec, de)
     wvals = _w_values(pair, spec, w_points)
-    fcum = np.zeros(5, dtype=complex)
-    prev = 0.0
-    for i, t in enumerate(times):
-        if t > prev:
-            fcum = fcum + adaptive_quad_vec(f, prev, float(t), f_tol, phase=phase)
-            prev = float(t)
-        tot = _assemble(pair, spec, fcum, wvals).total
-        out[i] = delta - 1j / spec.hbar * tot
+    for i, fvals in enumerate(_f_values(pair, spec, times, f_tol)):
+        h1, h2, h3 = _assemble(pair, spec, fvals, wvals)
+        out[i] = delta - 1j / spec.hbar * (h1 + h2 + h3)
     return out
 
 

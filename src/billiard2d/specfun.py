@@ -62,10 +62,6 @@ class BesselMode:
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.sum(self.weights * values, axis=-1)
 
 
 def _series_j(m: int, x: np.ndarray) -> np.ndarray:
@@ -149,6 +145,13 @@ def bessel_j_all(nmax: int, x) -> np.ndarray:
     return out.reshape((nmax + 1,) + shape)
 
 
+def _bessel_j_pair(m_abs: int, x):
+    """J_{m_abs}(x) and dJ/dx, shaped like x: J'_0 = -J_1, 2 J'_m = J_{m-1} - J_{m+1}."""
+    rows = bessel_j_all(m_abs + 1, x).reshape((m_abs + 2,) + np.shape(x))
+    jp = -rows[1] if m_abs == 0 else 0.5 * (rows[m_abs - 1] - rows[m_abs + 1])
+    return rows[m_abs], jp
+
+
 def bessel_j(m: int, x):
     """Bessel function J_m(x) of nonnegative integer order.
 
@@ -207,7 +210,7 @@ def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
     xs, ws = _legendre_rule_unit(npoints)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return QuadratureRule(mid + half * xs, half * ws, (float(a), float(b)))
+    return QuadratureRule(mid + half * xs, half * ws)
 
 
 def mode_make(m: int, n: int, spec) -> BesselMode:
@@ -240,9 +243,7 @@ def radial_profile(m_abs: int, n: int, r0: float, npoints: int):
     k = bessel_zero(m_abs, n) / r0
     rule = gauss_legendre(npoints, 0.0, r0)
     x = k * rule.nodes
-    rows = bessel_j_all(m_abs + 1, x)
-    j = rows[m_abs]
-    jp = -rows[1] if m_abs == 0 else 0.5 * (rows[m_abs - 1] - rows[m_abs + 1])
+    j, jp = _bessel_j_pair(m_abs, x)
     jpp = -jp / x + (m_abs**2 / x**2 - 1.0) * j
     out = (rule, j, k * jp, k * k * jpp)
     for arr in (rule.nodes, rule.weights, *out[1:]):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billiard2d import pantograph as pg
 from billiard2d import specfun as sf
@@ -19,7 +21,7 @@ def test_alpha_closed_form():
 
 def test_beta_limits(dilating_spec, unit_spec):
     mode = sf.mode_make(0, 1, dilating_spec)
-    assert pg.beta(mode, dilating_spec, 0.0, beta0=0.7) == pytest.approx(0.7)
+    assert pg.beta(mode, dilating_spec, 0.0) == 0.0
     mode0 = sf.mode_make(0, 1, unit_spec)
     t = 2.5
     assert pg.beta(mode0, unit_spec, t) == pytest.approx(-mode0.energy * t, rel=1e-14)
@@ -36,7 +38,7 @@ def test_beta_against_quadrature_oracle(dilating_spec):
 
 def test_beta_numeric_example(dilating_spec):
     mode = sf.mode_make(0, 1, dilating_spec)
-    got = pg.beta(mode, dilating_spec, 5.0, beta0=0.0)
+    got = pg.beta(mode, dilating_spec, 5.0)
     assert got == pytest.approx(-mode.energy * 5.0 / 1.5, rel=1e-14)
     assert got == pytest.approx(-9.6386, abs=5e-4)  # E ~= 2.8916
 
@@ -102,6 +104,17 @@ def test_state_normalization_enforced(dilating_spec):
         pg.PantographicState((mode,), (0.5,))
     st = pg.PantographicState.superposition((mode,), (0.5,))
     assert abs(abs(st.amplitudes[0]) - 1.0) < 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_rejects_non_finite_and_zero_norm_amplitudes(dilating_spec):
+    mode = sf.mode_make(0, 1, dilating_spec)
+    for amp in (math.nan, complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ValueError, match="normalized"):
+            pg.PantographicState((mode,), (amp,))
+    for amps in ([0.0], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="norm"):
+            pg.PantographicState.superposition([mode], amps)
 
 
 def test_population_constancy_under_exact_evolution(dilating_spec):
@@ -276,3 +289,42 @@ def test_basis_completeness_resynthesis(dilating_spec):
         errs.append(math.sqrt(float(np.sum(w * np.abs(test - recon) ** 2))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
+
+
+# random 1-3 mode superpositions; the pool holds m = 0 and negative m
+random_states = {
+    "modes": st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+                      min_size=1, max_size=3, unique=True),
+    "seed": st.integers(0, 2**32 - 1),
+    "kappa": st.floats(0.02, 0.3),
+    "r0": st.floats(0.5, 2.0),
+}
+
+
+def _random_state(modes, seed, kappa, r0):
+    spec = DomainSpec(r0=r0, kappa=kappa, gamma=5.0 * kappa)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return spec, pg.PantographicState.superposition(
+        [sf.mode_make(m, n, spec) for m, n in modes], amps)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(frac=st.floats(0.05, 0.95), theta=st.floats(0.0, 2 * math.pi),
+       t=st.floats(0.0, 20.0), **random_states)
+def test_d_dr_matches_fd_of_value_inside_disk(modes, seed, kappa, r0, frac, theta, t):
+    spec, state = _random_state(modes, seed, kappa, r0)
+    r, h = frac * r0, 1e-3 * r0
+    vals = [state.value(spec, r + k * h, theta, t) for k in (-2, -1, 1, 2)]
+    fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+    scale = max(mode.k * mode.norm for mode in state.modes)
+    assert abs(state.d_dr(spec, r, theta, t) - fd) <= 1e-8 * scale
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(t=st.floats(0.0, 20.0), **random_states)
+def test_mean_energy_mirror_symmetric(modes, seed, kappa, r0, t):
+    spec, state = _random_state(modes, seed, kappa, r0)
+    _, mirror = _random_state([(-m, n) for m, n in modes], seed, kappa, r0)
+    e = pg.mean_energy(state, spec, t)
+    assert pg.mean_energy(mirror, spec, t) == pytest.approx(e, rel=1e-13)
