@@ -127,6 +127,15 @@ class PantographicState:
         return self._field(spec, r, theta, t)[1]
 
 
+def _check_modes(state, spec: DomainSpec) -> None:
+    """Reject a state whose modes were built for another disk radius than spec.r0."""
+    for mode in getattr(state, "modes", ()):
+        if abs(mode.k * spec.r0 - mode.zero) > 1e-12 * mode.zero:
+            raise ValueError(
+                f"mode ({mode.m}, {mode.n}) has k r0 = {mode.k * spec.r0!r}, not its "
+                f"Bessel zero {mode.zero!r}: it was built for another r0 than {spec.r0!r}")
+
+
 def energy_rate(state, spec: DomainSpec, t) -> float:
     """Boundary-contact energy rate for pantographic dilation.
 
@@ -134,8 +143,10 @@ def energy_rate(state, spec: DomainSpec, t) -> float:
     evaluated on the fixed-disk rim.  The gradient at the rim comes from the
     state's analytic radial derivative (one-sided finite differences are
     ill-conditioned exactly where this integrand lives).  Nonpositive for a
-    dilating box.
+    dilating box.  Raises ValueError when a mode of the state does not belong
+    to spec.r0.
     """
+    _check_modes(state, spec)
     theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
     rim = np.abs(state.value(spec, spec.r0, theta, t))
     if rim.max() > 1e-8:
@@ -156,7 +167,9 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
     ||grad phi||^2 so only first derivatives of the state are needed.  The
     radial factors come from the shared radial table; the unit-modulus
     dressing e^{i alpha r^2} cancels in |grad phi|^2 and is left out.
+    Raises ValueError when a mode of the state does not belong to spec.r0.
     """
+    _check_modes(state, spec)
     theta = np.arange(_ENERGY_THETA) * (2.0 * math.pi / _ENERGY_THETA)
     u = du = dth = 0.0
     for mode, ang in state._angular(spec, theta, t):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .pantograph import beta
 from .specfun import (
     RADIAL_QUAD_POINTS,
     BesselMode,
-    adaptive_quad_vec,
     radial_profile,
 )
 
@@ -129,39 +129,131 @@ def w_integral(k: int, pair: ModePair, spec: DomainSpec,
     return _w_values(pair, spec, npoints)[k - 1]
 
 
-def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray:
-    """F^(1)..F^(5) at each of the increasing `times`, shape (len(times), 5).
+_LEVIN_POINTS = 48      # Chebyshev-Lobatto points per Levin panel
+_LEVIN_MAX_DEPTH = 30   # bisections of a graded panel before it is accepted as is
+_LEVIN_TAIL = 4         # trailing Chebyshev coefficients that estimate the error
+_ROUNDOFF_TAIL = 64 * 2.0**-52  # tail of an h resolved to rounding (64 ulp of max|h|)
 
-    One vector integrand, integrated between consecutive times and summed.
+
+@lru_cache(maxsize=None)
+def _levin_table(npoints: int) -> tuple:
+    """Chebyshev-Lobatto nodes on [-1, 1] (ascending), their barycentric
+    weights, the differentiation matrix and the rows that map values to the
+    trailing Chebyshev coefficients (Trefethen, Spectral Methods in MATLAB)."""
+    n = npoints - 1
+    j = np.arange(npoints)
+    x = np.sin(np.pi * (2 * j - n) / (2 * n))
+    w = (-1.0) ** j
+    w[[0, n]] *= 0.5
+    dx = x[:, None] - x[None, :] + np.eye(npoints)
+    diff = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    k = np.arange(n + 1 - _LEVIN_TAIL, n + 1)
+    tail = (2.0 / n) * np.cos(np.pi * np.outer(k, n - j) / n)
+    tail[:, [0, n]] *= 0.5
+    tail[k == n] *= 0.5
+    for arr in (x, w, diff, tail):
+        arr.flags.writeable = False
+    return x, w, diff, tail
+
+
+def _barycentric(x, w, values, y):
+    """The polynomial through `values` at the nodes `x`, evaluated at `y`."""
+    dy = y[:, None] - x[None, :]
+    hit = dy == 0.0
+    dy[hit] = 1.0
+    k = w / dy
+    out = (k @ values) / k.sum(axis=1)[:, None]
+    rows, cols = np.nonzero(hit)
+    out[rows] = values[cols]
+    return out
+
+
+def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray:
+    """F^(1)..F^(5) at each of the nondecreasing `times`, shape (len(times), 5).
+
+    In u = s / (1 + kappa s) every integrand is h_k(u) e^{i omega u}, with
+    omega = Delta E / hbar and h_k(u) = f_k(s(u)) / (1 - kappa u)^2 smooth.
+    Levin collocation: on each panel [a, b] of u, the polynomial p through
+    Chebyshev-Lobatto points solving (d/du + i omega) p = h in the least
+    squares sense is the non-oscillatory antiderivative factor, so
+    F(u) = p(u) e^{i omega u} - p(a) e^{i omega a} plus the panels before,
+    read off at every sample of the panel by barycentric interpolation.
+    Panels halve their distance to the pole u = 1/kappa one after the other
+    (one panel when kappa <= 0) and are bisected while the trailing
+    Chebyshev coefficients of h exceed tol / u_end, so the summed error
+    stays near `tol`; panels still above it after _LEVIN_MAX_DEPTH
+    bisections are accepted with a UserWarning, a non-finite h raises
+    ValueError.
     """
     hbar, mu, ld = spec.hbar, spec.mu, spec.kappa
-    de = pair.target.energy - pair.source.energy
-
-    def phase(s):
-        return de * s / (hbar * (1.0 + spec.kappa * s))
-
-    def f(svals):
-        s = np.atleast_1d(np.asarray(svals, dtype=float))
-        lam = spec.lam(s)
-        g = spec.g(s)
-        gd = spec.gdot(s)
-        ph = np.exp(1j * phase(s))
-        return np.stack([
-            hbar**2 / (2.0 * mu) * g / lam**2 * ph,
-            1j * hbar * g * ld / lam * ph,
-            -mu * g * ld**2 * ph,
-            0.5j * hbar * gd * ph,
-            -0.5 * mu * gd * lam * ld * ph,
-        ])
-
+    omega = (pair.target.energy - pair.source.energy) / hbar
+    times = np.asarray(times, dtype=float)
+    samples = times / spec.lam(times)
     out = np.zeros((len(times), 5), dtype=complex)
-    fcum = np.zeros(5, dtype=complex)
-    prev = 0.0
-    for i, t in enumerate(times):
-        if t > prev:
-            fcum = fcum + adaptive_quad_vec(f, prev, float(t), tol, phase=phase)
-            prev = float(t)
-        out[i] = fcum
+    u_end = float(samples[-1])
+    if u_end <= 0.0:
+        return out
+
+    def s_of(u):
+        return u / (1.0 - ld * u)
+
+    def h(u):
+        lam = 1.0 / (1.0 - ld * u)
+        s = u * lam
+        g, gd = spec.g(s), spec.gdot(s)
+        return np.stack([
+            hbar**2 / (2.0 * mu) * g,
+            1j * hbar * ld * g * lam,
+            -mu * ld**2 * g * lam**2,
+            0.5j * hbar * gd * lam**2,
+            -0.5 * mu * ld * gd * lam**3,
+        ], axis=-1)
+
+    edges = [0.0]
+    if ld > 0:
+        while 0.5 * (edges[-1] + 1.0 / ld) < u_end:
+            edges.append(0.5 * (edges[-1] + 1.0 / ld))
+    edges.append(u_end)
+
+    x, w, diff, tail = _levin_table(_LEVIN_POINTS)
+    shift = 1j * omega * np.eye(_LEVIN_POINTS)
+    limit = tol / u_end
+    carry = np.zeros(5, dtype=complex)
+    first = 0
+    unconverged = []
+    stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 2, -1, -1)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        half = 0.5 * (hi - lo)
+        hv = h(lo + half * (x + 1.0))
+        if not np.all(np.isfinite(hv)):
+            raise ValueError(
+                f"non-finite F integrand on t in [{s_of(lo)!r}, {s_of(hi)!r}]")
+        coeffs = np.abs(tail @ hv).max(axis=0)
+        if np.any(coeffs > np.maximum(limit, _ROUNDOFF_TAIL * np.abs(hv).max(axis=0))):
+            if depth < _LEVIN_MAX_DEPTH:
+                mid = lo + half
+                stack.append((mid, hi, depth + 1))
+                stack.append((lo, mid, depth + 1))
+                continue
+            unconverged.append((lo, hi))
+        p = np.linalg.lstsq(diff / half + shift, hv)[0]
+        last = np.searchsorted(samples, hi, side="right") if stack else len(samples)
+        us = samples[first:last]
+        pu = _barycentric(x, w, p, (us - lo) / half - 1.0)
+        base = np.exp(1j * omega * lo)
+        out[first:last] = carry + base * (pu * np.exp(1j * omega * (us - lo))[:, None] - p[0])
+        carry = carry + base * (p[-1] * np.exp(2j * omega * half) - p[0])
+        first = last
+    if unconverged:
+        lo = min(pan[0] for pan in unconverged)
+        hi = max(pan[1] for pan in unconverged)
+        warnings.warn(f"F integrals: {len(unconverged)} panel(s) in t in "
+                      f"[{s_of(lo)!r}, {s_of(hi)!r}] reached max_depth="
+                      f"{_LEVIN_MAX_DEPTH} above their error tolerance",
+                      UserWarning, stacklevel=2)
     return out
 
 
@@ -177,11 +269,14 @@ def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
 def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
     """Combine F and W integrals into the three operator contributions (h1, h2, h3).
 
+    `fvals` is the (n, 5) array of F^(1)..F^(5) at n times; each
+    contribution is an array of length n.
+
     The cos(theta) profile contributes (delta+ + delta-)/2 from the angular
     integral; the H3 operator's 2 sin(theta) d_theta part promotes that to
     the signed prefactor (1/2 + m') delta+ + (1/2 - m') delta-.
     """
-    f1, f2, f3, f4, f5 = fvals
+    f1, f2, f3, f4, f5 = fvals.T
     w1, w2, w3, w4 = wvals
     eps = spec.epsilon
     ks2 = pair.source.k**2
@@ -190,7 +285,7 @@ def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
     h2 = eps * (f4 * (w2 + w4) + f5 * w3)
     mpref = (0.5 + sm) if pair.delta_plus else (0.5 - sm)
     h3 = -eps * mpref * (f1 * w1 + 0.5 * f2 * w2)
-    return complex(h1), complex(h2), complex(h3)
+    return h1, h2, h3
 
 
 def element(pair: ModePair, spec: DomainSpec, t: float,
@@ -203,10 +298,10 @@ def element(pair: ModePair, spec: DomainSpec, t: float,
     _check_span(spec, t)
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
-    fvals = _f_values(pair, spec, [t], f_tol)[0]
+    fvals = _f_values(pair, spec, [t], f_tol)
     wvals = _w_values(pair, spec, w_points)
-    h1, h2, h3 = _assemble(pair, spec, fvals, wvals)
-    return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals)),
+    h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, wvals))
+    return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals[0])),
                             wvals=tuple(wvals))
 
 
@@ -237,14 +332,11 @@ class AmplitudeTable:
 def _amplitude_row(initial, target, spec, times, w_points, f_tol):
     pair = ModePair(source=initial, target=target)
     delta = 1.0 if target == initial else 0.0
-    out = np.full(len(times), delta, dtype=complex)
     if not pair.allowed:
-        return out
+        return np.full(len(times), delta, dtype=complex)
+    fvals = _f_values(pair, spec, times, f_tol)
     wvals = _w_values(pair, spec, w_points)
-    for i, fvals in enumerate(_f_values(pair, spec, times, f_tol)):
-        h1, h2, h3 = _assemble(pair, spec, fvals, wvals)
-        out[i] = delta - 1j / spec.hbar * (h1 + h2 + h3)
-    return out
+    return delta - 1j / spec.hbar * sum(_assemble(pair, spec, fvals, wvals))
 
 
 def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
@@ -253,8 +345,9 @@ def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
     """First-order TDPT amplitudes from `initial` to each target mode.
 
     a_sigma(t) = delta_{sigma,initial} - (i/hbar) * element(sigma <- initial, t);
-    the five time integrals per pair are accumulated panel-by-panel along the
-    grid.  Flags the table when total leakage leaves the perturbative regime.
+    the five time integrals per pair come at every grid time from one Levin
+    collocation pass (see _f_values).  Flags the table when total leakage
+    leaves the perturbative regime.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):

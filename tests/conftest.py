@@ -10,8 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from billiard2d.domain import DomainSpec
+
+# every hypothesis property: 20 examples, no deadline, no example database
+settings.register_profile("billiard2d", max_examples=20, deadline=None, database=None)
+settings.load_profile("billiard2d")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from billiard2d import oracle
@@ -118,7 +118,6 @@ random_grids = {
 }
 
 
-@settings(max_examples=20, deadline=None, database=None)
 @given(**random_grids)
 def test_mean_blocks_hermitian_under_grid_weights(nr, ntheta, kappa, t):
     op = _dilating_factory(nr, ntheta, kappa)(t)
@@ -129,7 +128,6 @@ def test_mean_blocks_hermitian_under_grid_weights(nr, ntheta, kappa, t):
     assert np.max(np.abs(diag.imag)) <= 1e-14 * scale
 
 
-@settings(max_examples=20, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), **random_grids)
 def test_pantographic_cn_conserves_random_field_norm(seed, nr, ntheta, kappa, t):
     factory = _dilating_factory(nr, ntheta, kappa)

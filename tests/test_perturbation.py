@@ -1,5 +1,11 @@
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from billiard2d import oracle
 from billiard2d import perturbation as pt
@@ -181,12 +187,16 @@ def test_amplitudes_start_at_kronecker(spec):
     assert table.entries[targets[1]][0] == 0j
 
 
-def test_amplitudes_mirror_symmetry(spec):
+@given(kappa=st.floats(0.01, 0.2), gamma_ratio=st.floats(0.5, 50.0),
+       epsilon=st.floats(0.001, 0.03))
+@example(kappa=0.1, gamma_ratio=5.0, epsilon=0.05)  # the standard parameter set
+def test_amplitudes_mirror_symmetry(kappa, gamma_ratio, epsilon):
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=kappa,
+                      gamma=gamma_ratio * kappa, epsilon=epsilon)
     initial = sf.mode_make(0, 1, spec)
     plus = [sf.mode_make(1, n, spec) for n in range(1, 5)]
     minus = [sf.mode_make(-1, n, spec) for n in range(1, 5)]
-    times = np.linspace(0.0, 50.0, 11)
-    table = pt.amplitudes(initial, plus + minus, spec, times)
+    table = pt.amplitudes(initial, plus + minus, spec, np.linspace(0.0, 5.0 / kappa, 21))
     for a, b in zip(plus, minus):
         assert np.max(np.abs(table.population(a) - table.population(b))) <= 1e-12
 
@@ -252,3 +262,133 @@ def test_amplitudes_rejects_bad_grid(spec):
         pt.amplitudes(initial, [initial], spec, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         pt.amplitudes(initial, [initial], spec, np.array([-1.0, 1.0]))
+
+
+def _f_reference(pair, spec, times, tol=1e-12):
+    """F^(1)..F^(5) at `times` by adaptive_quad_vec of the integrands in s,
+    summed interval by interval (independent of the Levin path)."""
+    hbar, mu, ld = spec.hbar, spec.mu, spec.kappa
+    de = pair.target.energy - pair.source.energy
+
+    def phase(s):
+        return de * s / (hbar * (1.0 + ld * s))
+
+    def f(s):
+        lam, g, gd = spec.lam(s), spec.g(s), spec.gdot(s)
+        ph = np.exp(1j * phase(s))
+        return np.stack([hbar**2 / (2.0 * mu) * g / lam**2 * ph,
+                         1j * hbar * g * ld / lam * ph,
+                         -mu * g * ld**2 * ph,
+                         0.5j * hbar * gd * ph,
+                         -0.5 * mu * gd * lam * ld * ph])
+
+    out, acc, prev = [], np.zeros(5, dtype=complex), 0.0
+    for t in times:
+        if t > prev:
+            acc = acc + sf.adaptive_quad_vec(f, prev, float(t), tol, phase=phase)
+            prev = float(t)
+        out.append(acc)
+    return np.array(out)
+
+
+@given(kappa=st.floats(-0.02, 0.2, exclude_min=True),
+       gamma=st.floats(0.1, 10.0),
+       de=st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+       sign=st.sampled_from((1.0, -1.0)),
+       reach=st.floats(0.05, 100.0))
+@example(kappa=0.2, gamma=10.0 * 0.2, de=0.0, sign=1.0, reach=100.0)
+@example(kappa=0.02, gamma=50.0 * 0.02, de=1e-3, sign=1.0, reach=99.0)
+@example(kappa=0.1, gamma=0.5, de=10.0, sign=-1.0, reach=100.0)
+@example(kappa=0.0, gamma=0.1, de=10.0, sign=1.0, reach=100.0)
+def test_f_values_match_adaptive_quadrature(kappa, gamma, de, sign, reach):
+    """Levin F against adaptive_quad_vec: kappa t_end = reach for kappa > 0.01,
+    else t_end = reach, keeping lambda(t_end) >= 1/2 when the box shrinks.
+
+    The reference rounds its phase at every node, so its own error grows
+    with the total phase (~1e-13 absolute at 3000 rad); |Delta E| <= 10
+    keeps the phase below ~1000 rad, where the bound holds with a 10x margin.
+    """
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=kappa, gamma=gamma, epsilon=0.05)
+    if kappa > 0.01:
+        t_end = reach / kappa
+    else:
+        t_end = min(reach, 0.5 / -kappa) if kappa < 0 else reach
+    src = sf.mode_make(0, 1, spec)
+    pair = pt.ModePair(source=src, target=dataclasses.replace(
+        sf.mode_make(1, 1, spec), energy=src.energy + sign * de))
+    times = t_end * np.array([0.0, 0.3, 0.7, 1.0])
+    want = _f_reference(pair, spec, times)
+    got = pt._f_values(pair, spec, times, 1e-12)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+class _KinkSchedule:
+    """g(t) = min(t / tau, 1): g has a kink at tau, so gdot jumps there."""
+
+    def __init__(self, tau):
+        self.tau = tau
+
+    def g(self, t):
+        return np.minimum(np.asarray(t, dtype=float) / self.tau, 1.0)
+
+    def gdot(self, t):
+        return np.where(np.asarray(t, dtype=float) < self.tau, 1.0 / self.tau, 0.0)
+
+
+class _NanSchedule:
+    """g(t) = t up to t = 1 and NaN beyond."""
+
+    def g(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t <= 1.0, t, np.nan)
+
+    def gdot(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t <= 1.0, 1.0, np.nan)
+
+
+def test_kinked_schedule_warns_once_naming_the_span():
+    tau = 1.3
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, epsilon=0.05,
+                      schedule=_KinkSchedule(tau))
+    initial = sf.mode_make(0, 1, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = pt.amplitudes(initial, [sf.mode_make(1, 1, spec)], spec,
+                              np.linspace(0.0, 2.0, 9))
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and "max_depth" in messages[0], messages
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", messages[0]).groups())
+    assert lo <= tau <= hi and hi - lo < 1e-6
+    assert table.regime_ok
+
+
+def test_non_finite_schedule_rejected():
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, epsilon=0.05,
+                      schedule=_NanSchedule())
+    initial = sf.mode_make(0, 1, spec)
+    p = pt.ModePair(source=initial, target=sf.mode_make(1, 1, spec))
+    with pytest.raises(ValueError, match="non-finite"):
+        pt.amplitudes(initial, [p.target], spec, np.linspace(0.0, 2.0, 5))
+    with pytest.raises(ValueError, match="non-finite"):
+        pt.f_integral(1, p, spec, 2.0)
+    assert pt.f_integral(1, p, spec, 0.5) != 0j  # finite before t = 1
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.0, -0.01])
+def test_populations_start_at_exact_zero(kappa):
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=kappa, gamma=0.5, epsilon=0.05)
+    initial = sf.mode_make(0, 1, spec)
+    targets = [sf.mode_make(m, n, spec) for m in (-1, 1) for n in (1, 2, 3, 4)]
+    table = pt.amplitudes(initial, targets, spec, np.linspace(0.0, 20.0, 7))
+    for tg in targets:
+        assert table.population(tg)[0] == 0.0
+        assert table.population(tg)[1] > 0.0
+
+
+def test_grid_starting_after_zero_matches_f_integral(spec):
+    p = pair_of(spec, (1, 2), (0, 1))
+    times = np.array([0.7, 3.0, 9.0])
+    got = pt._f_values(p, spec, times, 1e-10)[0]
+    want = np.array([pt.f_integral(k, p, spec, 0.7) for k in (1, 2, 3, 4, 5)])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
