@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, pantograph, perturbation, specfun
+from . import pantograph, perturbation, specfun
 from .domain import BoundaryFunction, DomainSpec, disk_inner_product
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -201,6 +201,8 @@ def _task_energy_rate(cfg: RunConfig, out: Path) -> None:
 
 
 def _task_validate(cfg: RunConfig, out: Path) -> int:
+    from . import oracle  # scipy.linalg and scipy.sparse, for this task alone
+
     spec = cfg.domain_spec()
     checks = []
 

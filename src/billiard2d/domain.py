@@ -190,11 +190,16 @@ def to_moving(phi: Callable, boundary: BoundaryFunction, t: float) -> Callable:
 
 def disk_inner_product(f: Callable, g: Callable, spec: DomainSpec,
                        nr: int = 128, ntheta: int = 256) -> complex:
-    """<f, g> over the fixed disk, Gauss-Legendre in r, uniform rule in theta."""
+    """<f, g> over the fixed disk, Gauss-Legendre in r, uniform rule in theta.
+
+    f and g get the open grid ``r[:, None]``, ``theta[None, :]``, so a
+    separable field evaluates its radial factor once per radius; a product
+    that does not depend on theta is broadcast to all ntheta columns.
+    """
     rule = gauss_legendre(nr, 0.0, spec.r0)
-    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    rr, tt = np.meshgrid(rule.nodes, theta, indexing="ij")
-    vals = np.conjugate(f(rr, tt)) * g(rr, tt) * rr
+    r = rule.nodes[:, None]
+    theta = np.arange(ntheta)[None, :] * (2.0 * math.pi / ntheta)
+    vals = np.broadcast_to(np.conjugate(f(r, theta)) * g(r, theta) * r, (nr, ntheta))
     return complex((vals * rule.weights[:, None]).sum() * (2.0 * math.pi / ntheta))
 
 

@@ -137,8 +137,7 @@ def grid_from_sampler(sampler, r0: float, nr: int, ntheta: int,
                       time: float = 0.0) -> GridWavefunction:
     """Sample a callable psi(r, theta) onto the grid (boundary row zeroed)."""
     g = GridWavefunction(np.zeros((nr, ntheta), dtype=complex), r0, time)
-    rr, tt = np.meshgrid(g.radii(), g.thetas(), indexing="ij")
-    g.values[:] = sampler(rr, tt)
+    g.values[:] = sampler(g.radii()[:, None], g.thetas()[None, :])
     g.values[-1, :] = 0.0
     return g
 
@@ -456,9 +455,8 @@ def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,
     Projection onto the co-moving exact solution, so pantographic evolution
     keeps |project|^2 constant and the square is the mode population.
     """
-    rr, tt = np.meshgrid(psi.radii(), psi.thetas(), indexing="ij")
-    ref = GridWavefunction(phi_exact(mode, spec, rr, tt, t), psi.r0, t)
-    return ref.inner(psi)
+    ref = phi_exact(mode, spec, psi.radii()[:, None], psi.thetas()[None, :], t)
+    return GridWavefunction(np.broadcast_to(ref, psi.values.shape), psi.r0, t).inner(psi)
 
 
 def write_snapshot(psi: GridWavefunction, path) -> None:

@@ -29,8 +29,7 @@ __all__ = [
     "mean_energy",
 ]
 
-_ENERGY_THETA = 256  # angular nodes of the mean-energy quadrature
-_RATE_THETA = 512    # angular nodes of the rim integral in energy_rate
+_RATE_THETA = 512  # angular nodes of the rim integral in energy_rate
 
 
 def alpha(spec: DomainSpec, t) -> float:
@@ -165,20 +164,22 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
 
     Computed in the integrated-by-parts form hbar^2/(2 mu lam^2) * int
     ||grad phi||^2 so only first derivatives of the state are needed.  The
-    radial factors come from the shared radial table; the unit-modulus
-    dressing e^{i alpha r^2} cancels in |grad phi|^2 and is left out.
-    Raises ValueError when a mode of the state does not belong to spec.r0.
+    unit-modulus dressing e^{i alpha r^2} cancels in |grad phi|^2, and the
+    theta integral keeps only pairs of modes with equal m, so the integral
+    is 2 pi sum_m int (|d_r u_m|^2 + |m u_m / r|^2) r dr, where u_m sums
+    b J over the modes of that m with b = c A e^{i beta} / sqrt(2 pi), on
+    the shared radial table.  Raises ValueError when a mode of the state
+    does not belong to spec.r0.
     """
     _check_modes(state, spec)
-    theta = np.arange(_ENERGY_THETA) * (2.0 * math.pi / _ENERGY_THETA)
-    u = du = dth = 0.0
-    for mode, ang in state._angular(spec, theta, t):
+    a = alpha(spec, t)
+    by_m = {}
+    for mode, b in state._angular(spec, 0.0, t):
         rule, j, jp, _ = radial_profile(abs(mode.m), mode.n, spec.r0, RADIAL_QUAD_POINTS)
-        u = u + np.outer(j, ang)
-        du = du + np.outer(jp, ang)
-        dth = dth + np.outer(j / rule.nodes, 1j * mode.m * ang)
-    r = rule.nodes[:, None]
-    dens = (np.abs(du + 2j * alpha(spec, t) * r * u) ** 2 + np.abs(dth) ** 2) * r
-    integral = float((dens * rule.weights[:, None]).sum() * (2.0 * math.pi / _ENERGY_THETA))
+        r = rule.nodes
+        du, dth = by_m.get(mode.m, (0.0, 0.0))
+        by_m[mode.m] = (du + b * (jp + 2j * a * r * j), dth + b * mode.m * j / r)
+    dens = sum(np.abs(du) ** 2 + np.abs(dth) ** 2 for du, dth in by_m.values())
+    integral = 2.0 * math.pi * float((dens * r) @ rule.weights)
     lam = float(spec.lam(t))
     return spec.hbar**2 / (2.0 * spec.mu * lam**2) * integral

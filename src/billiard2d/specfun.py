@@ -1,12 +1,10 @@
 """Special-function kernel: integer-order Bessel J, its zeros, disk
 eigenmodes and Gauss-Legendre quadrature.
 
-J_m is evaluated here, by a power series for small argument and by
-normalized downward recurrence above (faster than scipy for stacked
-orders).  The zeros come from ``scipy.special.jn_zeros``, imported lazily,
-the Gauss-Legendre nodes from ``numpy.polynomial.legendre.leggauss``, and
-mode norms from their closed form.  All routines are pure functions; cached
-tables are read-only.
+J_m comes from ``scipy.special.jv`` and the zeros from
+``scipy.special.jn_zeros``, both imported lazily; the Gauss-Legendre nodes
+from ``numpy.polynomial.legendre.leggauss``, and mode norms from their
+closed form.  All routines are pure functions; cached tables are read-only.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ __all__ = [
 # any reported integral by more than ~1e-10 (convergence guard in the tests).
 RADIAL_QUAD_POINTS = 128
 
-_SERIES_CUTOFF = 2.0  # power series below, downward recurrence above
-_RESCALE_LIMIT = 1e250
-
 
 @dataclass(frozen=True)
 class BesselMode:
@@ -64,85 +59,23 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _series_j(m: int, x: np.ndarray) -> np.ndarray:
-    """Power series for J_m, adequate for x <= ~4 at double precision."""
-    half = 0.5 * x
-    if m < 160:
-        term = half**m / math.factorial(m)
-    else:  # avoid factorial overflow; result underflows to 0 for small x
-        with np.errstate(divide="ignore"):
-            logt = m * np.log(np.where(half > 0, half, 1.0)) - math.lgamma(m + 1)
-        term = np.where(half > 0, np.exp(logt), 1.0 if m == 0 else 0.0)
-    total = term.copy()
-    mx2 = -0.25 * x * x
-    for k in range(1, 40):
-        term = term * mx2 / (k * (m + k))
-        total += term
-    return total
-
-
-def _miller_start_order(nmax: int, xmax: float) -> int:
-    # The unnormalized minimal solution must be negligible at the start
-    # order; past the turning point J_n(x) decays like Ai, so a margin of
-    # ~18 (x/2)^(1/3) buys ~20 decades.
-    margin = 18.0 * max(1.0, 0.5 * xmax) ** (1.0 / 3.0) + 20.0
-    start = max(nmax, int(math.ceil(xmax))) + int(margin)
-    return start + (start % 2)
-
-
-def _miller_j(nmax: int, x: np.ndarray) -> np.ndarray:
-    """All of J_0..J_nmax at x > 0 by normalized downward recurrence."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mstart = _miller_start_order(nmax, float(x.max()))
-    rows = np.zeros((nmax + 1, x.size))
-    f_hi = np.zeros_like(x)          # running J_{n+1} (unnormalized)
-    f_cur = np.full_like(x, 1e-30)   # running J_n, n = mstart
-    ssum = 2.0 * f_cur.copy()        # mstart is even
-    for n in range(mstart, 0, -1):
-        f_lo = (2.0 * n / x) * f_cur - f_hi
-        f_hi = f_cur
-        f_cur = f_lo
-        order = n - 1
-        if order <= nmax:
-            rows[order] = f_cur
-        if order == 0:
-            ssum += f_cur
-        elif order % 2 == 0:
-            ssum += 2.0 * f_cur
-        big = np.abs(f_cur) > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, 1e-250, 1.0)
-            f_cur *= scale
-            f_hi *= scale
-            ssum *= scale
-            rows[:, big] *= 1e-250
-    return rows / ssum
-
-
 def bessel_j_all(nmax: int, x) -> np.ndarray:
-    """J_0(x) .. J_nmax(x) for x >= 0, shape (nmax + 1, *shape(x)).
+    """J_0(x) .. J_nmax(x) for finite x >= 0, shape (nmax + 1, *shape(x)).
 
-    Absolute accuracy is ~1e-14 for x in [0, 200]; this is the primitive
-    every radial integral in the package is built on.
+    One ``scipy.special.jv`` call with the orders broadcast against x (scipy
+    imported here, so that importing the package loads no scipy module).
+    Callers pass each distinct radius once: fields are a radial factor times
+    an angular one.  Raises ValueError naming a negative or non-finite x.
     """
-    xarr = np.atleast_1d(np.asarray(x, dtype=float))
-    shape = xarr.shape
-    x = xarr.reshape(-1)
-    if np.any(x < 0):
-        raise ValueError("bessel_j_all requires x >= 0")
-    out = np.zeros((nmax + 1, x.size))
-    zero = x == 0.0
-    small = (~zero) & (x <= _SERIES_CUTOFF)
-    large = x > _SERIES_CUTOFF
-    if zero.any():
-        out[0, zero] = 1.0
-    if small.any():
-        xs = x[small]
-        for m in range(nmax + 1):
-            out[m, small] = _series_j(m, xs)
-    if large.any():
-        out[:, large] = _miller_j(nmax, x[large])
-    return out.reshape((nmax + 1,) + shape)
+    xarr = np.asarray(x, dtype=float)
+    bad = ~((xarr >= 0) & np.isfinite(xarr))
+    if np.any(bad):
+        raise ValueError(
+            f"bessel_j_all requires finite x >= 0, got {float(xarr[bad].flat[0])!r}")
+    from scipy.special import jv
+
+    xs = np.atleast_1d(xarr)
+    return jv(np.arange(nmax + 1).reshape((-1,) + (1,) * xs.ndim), xs)
 
 
 def _bessel_j_pair(m_abs: int, x):
@@ -166,16 +99,12 @@ def bessel_j(m: int, x):
 
 
 def bessel_j_derivative(m: int, x):
-    """d/dx J_m(x) via J'_0 = -J_1 and 2 J'_m = J_{m-1} - J_{m+1}."""
-    if m < 0:
+    """d/dx J_m(x) of nonnegative integer order; scalar for scalar input."""
+    if m < 0 or m != int(m):
         raise ValueError("order must be a nonnegative integer")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    rows = bessel_j_all(m + 1, x)
-    if m == 0:
-        out = -rows[1]
-    else:
-        out = 0.5 * (rows[m - 1] - rows[m + 1])
-    return float(out[0]) if scalar else out
+    jp = _bessel_j_pair(int(m), x)[1]
+    return float(jp) if scalar else jp
 
 
 @lru_cache(maxsize=None)

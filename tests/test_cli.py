@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,3 +153,14 @@ def test_main_out_override(tmp_path):
     status = cli.main(["modes", "--config", str(cfgfile), "--out", str(out)])
     assert status == 0
     assert out.exists()
+
+
+def test_cli_import_loads_no_linalg_or_sparse():
+    # only the validate task needs the CN oracle and its scipy.linalg/sparse
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, billiard2d.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

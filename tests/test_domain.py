@@ -141,6 +141,14 @@ def test_pure_dilation_example(unit_spec):
     assert abs(psi(2.0 * spec.r0 * (1 - 1e-9), 0.7)) < 1e-7
 
 
+def test_disk_inner_product_counts_every_theta_column():
+    # theta-independent integrands come back with one column; all ntheta count
+    spec = DomainSpec(r0=1.3)
+    area = disk_inner_product(lambda r, th: np.ones_like(r), lambda r, th: np.ones_like(r),
+                              spec, nr=32, ntheta=64)
+    assert area == pytest.approx(math.pi * 1.3**2, rel=1e-14)
+
+
 def test_unitarity_inner_products(deformed_spec):
     # fixed-disk inner product == moving-domain inner product for mapped states
     rng = np.random.default_rng(3)

@@ -250,6 +250,21 @@ def test_project_self_and_orthogonal(dilating_spec):
     assert abs(oracle.project(psi, m11, spec, t)) < 1e-6
 
 
+def test_radial_only_sampler_fills_grid_and_projects_to_one(unit_spec):
+    # at t = 0 in a static box the (0,1) solution has no theta dependence, so
+    # the sampler returns one column; it must fill all of them
+    mode = sf.mode_make(0, 1, unit_spec)
+
+    def radial(r, th):
+        return mode.norm * sf.bessel_j(0, mode.k * r) / math.sqrt(2 * math.pi)
+
+    psi = oracle.grid_from_sampler(radial, unit_spec.r0, 256, 16)
+    assert radial(psi.radii()[:, None], None).shape == (256, 1)
+    assert np.all(psi.values == psi.values[:, :1])
+    assert abs(psi.values[0, 0]) > 0.1
+    assert abs(oracle.project(psi, mode, unit_spec, 0.0)) == pytest.approx(1.0, abs=1e-5)
+
+
 def test_project_bessel_inequality(dilating_spec):
     spec = dilating_spec
     rng = np.random.default_rng(5)

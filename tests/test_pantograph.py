@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from billiard2d import pantograph as pg
@@ -338,3 +338,35 @@ def test_mean_energy_mirror_symmetric(modes, seed, kappa, r0, t):
     _, mirror = _random_state([(-m, n) for m, n in modes], seed, kappa, r0)
     e = pg.mean_energy(state, spec, t)
     assert pg.mean_energy(mirror, spec, t) == pytest.approx(e, rel=1e-13)
+
+
+def _energy_on_mesh(state, spec, t, nr=128, ntheta=256):
+    """hbar^2/(2 mu lam^2) int |grad phi|^2 on a full (r, theta) mesh.
+
+    Gauss-Legendre in r, uniform in theta; d_r from the state, d_theta by FFT
+    of the sampled values (exact for the band-limited theta dependence).
+    """
+    x, w = np.polynomial.legendre.leggauss(nr)
+    r = 0.5 * spec.r0 * (x + 1.0)
+    theta = np.arange(ntheta) * (2 * math.pi / ntheta)
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    dr = state.d_dr(spec, rr, tt, t)
+    wavenumbers = np.fft.fftfreq(ntheta, 1.0 / ntheta)
+    dth = np.fft.ifft(1j * wavenumbers * np.fft.fft(state.value(spec, rr, tt, t), axis=1),
+                      axis=1)
+    dens = (np.abs(dr) ** 2 + np.abs(dth / rr) ** 2) * rr
+    integral = np.sum(dens * (0.5 * spec.r0 * w)[:, None]) * (2 * math.pi / ntheta)
+    return spec.hbar**2 / (2 * spec.mu * float(spec.lam(t)) ** 2) * integral
+
+
+@given(t=st.floats(0.0, 20.0),
+       modes=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+                      min_size=2, max_size=4, unique=True),
+       seed=random_states["seed"], kappa=random_states["kappa"], r0=random_states["r0"])
+@example(t=3.0, modes=[(1, 1), (1, 2), (-1, 1), (0, 1)], seed=1, kappa=0.1, r0=1.0)
+@example(t=0.0, modes=[(2, 1), (-2, 2)], seed=2, kappa=0.3, r0=0.5)
+def test_mean_energy_matches_mesh_quadrature(modes, seed, kappa, r0, t):
+    # mean_energy keeps only equal-m pairs of the theta integral
+    spec, state = _random_state(modes, seed, kappa, r0)
+    assert pg.mean_energy(state, spec, t) == pytest.approx(_energy_on_mesh(state, spec, t),
+                                                         rel=1e-12)

@@ -24,6 +24,14 @@ def test_bessel_j_rejects_bad_input():
         sf.bessel_j(0, -0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.5, math.nan, 2.0])],
+                         ids=["nan", "inf", "array-with-nan"])
+def test_bessel_j_rejects_non_finite_argument(x):
+    # the hand-written kernel returned 0.0 at nan and raised OverflowError at inf
+    with pytest.raises(ValueError, match="nan|inf"):
+        sf.bessel_j(0, x)
+
+
 def test_bessel_j0_first_root_from_series_bisection():
     root = bisect_series_zero(0, 1)
     assert abs(root - 2.404825557695773) < 1e-12
@@ -37,11 +45,14 @@ def test_bessel_j_matches_series_oracle(m):
     mine = sf.bessel_j(m, xs)
     ref = np.array([series_bessel_j(m, float(x)) for x in xs])
     assert np.max(np.abs(mine - ref)) < 1e-13
+    # J'_m = (J_{m-1} - J_{m+1}) / 2 with J_{-1} = -J_1
+    lower = [(-1) ** (m == 0) * series_bessel_j(abs(m - 1), float(x)) for x in xs]
+    dref = 0.5 * (np.array(lower) - [series_bessel_j(m + 1, float(x)) for x in xs])
+    assert np.max(np.abs(sf.bessel_j_derivative(m, xs) - dref)) < 1e-13
 
 
 def test_bessel_j_recurrence_consistency():
-    # three-term recurrence ties orders together; independent of both
-    # evaluation branches
+    # three-term recurrence ties orders together
     rng = np.random.default_rng(7)
     xs = 10.0 ** rng.uniform(-1, 2.2, 200)  # up to ~160
     for m in (1, 3, 6, 10):
