@@ -4,7 +4,6 @@ and fixed-disk pictures of the wavefunction."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,10 +21,7 @@ __all__ = [
     "to_moving",
     "disk_inner_product",
     "moving_inner_product",
-    "check_deformation_regime",
 ]
-
-DEFORMATION_WARN_LEVEL = 0.2
 
 
 class ExponentialSchedule:
@@ -82,22 +78,6 @@ class DomainSpec:
         return self._sched().gdot(t)
 
 
-def check_deformation_regime(spec: DomainSpec, t_max: float) -> float:
-    """Warn when eps * lam(t) * sup_theta f exceeds 0.2 anywhere up to t_max.
-
-    This is the smallness measure that justifies the first-order expansion;
-    both factors grow with time (lam linearly, g toward 1), so the product
-    is evaluated at the end of the run.  Returns the measured value.
-    """
-    level = float(spec.epsilon * spec.lam(t_max) * spec.g(t_max))
-    if level > DEFORMATION_WARN_LEVEL:
-        warnings.warn(
-            f"eps * lam * sup f reaches {level:.3f} > {DEFORMATION_WARN_LEVEL} "
-            f"by t = {t_max:g}; first-order treatment marginal",
-            stacklevel=2)
-    return level
-
-
 def radius(spec: DomainSpec, theta, t):
     """Exact (unexpanded) boundary ratio R(theta, t) = lam / (1 - eps g cos theta).
 
@@ -120,10 +100,9 @@ def radius_linearized(spec: DomainSpec, theta, t):
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Evaluator bundle for R(theta, t) and its theta/t derivatives."""
+    """Evaluator bundle for R(theta, t) and its time derivative."""
 
     value: Callable
-    dtheta: Callable
     dt: Callable
     pantographic: bool
 
@@ -132,31 +111,22 @@ class BoundaryFunction:
         def val(theta, t):
             return spec.lam(t) * np.ones_like(np.asarray(theta, dtype=float))
 
-        def dth(theta, t):
-            return np.zeros_like(np.asarray(theta, dtype=float))
-
         def dtt(theta, t):
             return spec.lamdot(t) * np.ones_like(np.asarray(theta, dtype=float))
 
-        return BoundaryFunction(val, dth, dtt, pantographic=True)
+        return BoundaryFunction(val, dtt, pantographic=True)
 
     @staticmethod
     def deformed_from(spec: DomainSpec) -> "BoundaryFunction":
-        """Exact elliptical deformation R = lam / (1 - eps g cos theta)."""
-        if spec.epsilon * spec.g(np.inf if spec.gamma > 0 else 0.0) > DEFORMATION_WARN_LEVEL:
-            warnings.warn(
-                "deformation amplitude eps*g exceeds %.2f; perturbative "
-                "formulas may be unreliable" % DEFORMATION_WARN_LEVEL,
-                stacklevel=2,
-            )
+        """Exact elliptical deformation R = lam / (1 - eps g cos theta).
+
+        Valid for any amplitude that keeps the domain star-shaped (``radius``
+        raises past that); whether first-order perturbation theory still
+        holds is judged by ``perturbation.amplitudes``, not here.
+        """
 
         def val(theta, t):
             return radius(spec, theta, t)
-
-        def dth(theta, t):
-            eg = spec.epsilon * spec.g(t)
-            den = 1.0 - eg * np.cos(np.asarray(theta, dtype=float))
-            return -spec.lam(t) * eg * np.sin(np.asarray(theta, dtype=float)) / den**2
 
         def dtt(theta, t):
             th = np.asarray(theta, dtype=float)
@@ -165,7 +135,7 @@ class BoundaryFunction:
             return (spec.lamdot(t) / den
                     + spec.lam(t) * spec.epsilon * spec.gdot(t) * np.cos(th) / den**2)
 
-        return BoundaryFunction(val, dth, dtt, pantographic=False)
+        return BoundaryFunction(val, dtt, pantographic=False)
 
 
 def to_fixed(psi: Callable, boundary: BoundaryFunction, t: float) -> Callable:

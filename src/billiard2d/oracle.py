@@ -144,12 +144,13 @@ def grid_from_sampler(sampler, r0: float, nr: int, ntheta: int,
 
 @dataclass
 class EffectiveOperator:
-    """Coefficient fields and stencil data for H1 + H2 + H3 at one time.
+    """H1 + H2 + H3 at one time as a list of stencil terms.
 
     H1 = -hbar^2/(2 mu R^2) lap,  H2 = i hbar (Rdot/R)(1 + r d_r),  and H3
     carries the five deformation terms built from q = 1/R and its theta
-    derivatives.  With R independent of theta all H3 coefficients vanish
-    identically and the operator block-diagonalizes over angular wavenumbers.
+    derivatives.  With R independent of theta H3 vanishes identically, is
+    left out of ``terms``, and the operator block-diagonalizes over angular
+    wavenumbers.
     """
 
     nr: int
@@ -157,31 +158,12 @@ class EffectiveOperator:
     r0: float
     t: float
     hbar: float
-    mu: float
-    c_lap: np.ndarray   # -hbar^2/(2 mu R^2), shape (ntheta,)
-    c_dil: np.ndarray   # Rdot / R
-    c31: np.ndarray     # x 1/r^2
-    c32: np.ndarray     # x (1/r) d_r
-    c33: np.ndarray     # x (1/r^2) d_theta
-    c34: np.ndarray     # x d_rr
-    c35: np.ndarray     # x (1/r) d_r d_theta
+    terms: list  # (part, coefficient(theta), radial stencil, p): acts on d_theta^p
     pantographic: bool
     _band_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def radii(self) -> np.ndarray:
         return _grid_radii(self.nr, self.r0)
-
-    @property
-    def terms(self) -> list:
-        """H_eff as (part, coefficient(theta), radial stencil, p) terms, each
-        coefficient x stencil acting on d_theta^p."""
-        terms = [("1", self.c_lap, "lap", 0), ("1", self.c_lap, "inv_r2", 2),
-                 ("2", 1j * self.hbar * self.c_dil, "dil", 0)]
-        if not self.pantographic:
-            terms += [("3", self.c31, "inv_r2", 0), ("3", self.c32, "dr_r", 0),
-                      ("3", self.c33, "inv_r2", 1), ("3", self.c34, "drr", 0),
-                      ("3", self.c35, "dr_r", 1)]
-        return terms
 
     def _bands(self, parts: str) -> dict:
         """{p: (lower, diag, upper)} of the ``parts`` terms summed per p, each
@@ -250,24 +232,20 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
     if ntheta % 2:
         raise ValueError("ntheta must be even")
     theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    rv = boundary.value(theta, t)
-    rt = boundary.dt(theta, t)
-    q = 1.0 / rv
-    qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
+    q = 1.0 / boundary.value(theta, t)
     pref = -spec.hbar**2 / (2.0 * spec.mu)
-    pan = bool(boundary.pantographic)
-    zeros = np.zeros(ntheta)
-    return EffectiveOperator(
-        nr=nr, ntheta=ntheta, r0=spec.r0, t=t, hbar=spec.hbar, mu=spec.mu,
-        c_lap=pref * q * q,
-        c_dil=rt * q,
-        c31=zeros if pan else pref * q * qthth,
-        c32=zeros if pan else pref * (2.0 * qth**2 + q * qthth),
-        c33=zeros if pan else pref * 2.0 * q * qth,
-        c34=zeros if pan else pref * qth**2,
-        c35=zeros if pan else pref * 2.0 * q * qth,
-        pantographic=pan,
-    )
+    c_lap = pref * q * q
+    terms = [("1", c_lap, "lap", 0), ("1", c_lap, "inv_r2", 2),
+             ("2", 1j * spec.hbar * (boundary.dt(theta, t) * q), "dil", 0)]
+    if not boundary.pantographic:
+        qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
+        c_mixed = pref * 2.0 * q * qth
+        terms += [("3", pref * q * qthth, "inv_r2", 0),
+                  ("3", pref * (2.0 * qth**2 + q * qthth), "dr_r", 0),
+                  ("3", c_mixed, "inv_r2", 1), ("3", pref * qth**2, "drr", 0),
+                  ("3", c_mixed, "dr_r", 1)]
+    return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, t=t, hbar=spec.hbar,
+                             terms=terms, pantographic=bool(boundary.pantographic))
 
 
 def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import DomainSpec, check_deformation_regime
+from .domain import DomainSpec
 from .pantograph import beta
 from .specfun import (
     RADIAL_QUAD_POINTS,
@@ -36,7 +36,9 @@ __all__ = [
     "amplitudes",
 ]
 
-REGIME_LIMIT = 0.25  # total first-order leakage above which TDPT is suspect
+# first-order leakage into the requested targets above which TDPT is
+# suspect; calibrated against the CN oracle (README, Conventions)
+REGIME_LIMIT = 0.04
 
 
 @dataclass(frozen=True)
@@ -321,7 +323,7 @@ class AmplitudeTable:
         return {m: self.population(m) for m in self.entries}
 
     def leakage(self) -> np.ndarray:
-        """Total first-order transition probability out of the initial mode."""
+        """First-order transition probability into the requested targets."""
         tot = np.zeros_like(self.times, dtype=float)
         for m, a in self.entries.items():
             if m != self.initial:
@@ -346,8 +348,9 @@ def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
 
     a_sigma(t) = delta_{sigma,initial} - (i/hbar) * element(sigma <- initial, t);
     the five time integrals per pair come at every grid time from one Levin
-    collocation pass (see _f_values).  Flags the table when total leakage
-    leaves the perturbative regime.
+    collocation pass (see _f_values).  When the leakage into the given
+    targets exceeds REGIME_LIMIT the table's ``regime_ok`` is False and one
+    UserWarning says so; targets not asked for do not count.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
@@ -355,7 +358,6 @@ def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
     _check_span(spec, times[-1])
-    check_deformation_regime(spec, float(times[-1]))
     table = AmplitudeTable(times=times, initial=initial)
     for tg in targets:
         table.entries[tg] = _amplitude_row(initial, tg, spec, times, w_points, f_tol)

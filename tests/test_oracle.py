@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from billiard2d import oracle
@@ -225,10 +225,20 @@ def test_propagate_block_diagonal_no_m_leakage(dilating_spec):
     assert np.max(other) / power[1] < 1e-20
 
 
-def test_brute_element_forbidden_pair(deformed_spec):
-    p = pt.ModePair(source=sf.mode_make(0, 1, deformed_spec),
-                    target=sf.mode_make(0, 2, deformed_spec))
-    assert abs(oracle.brute_element(p, deformed_spec, 1.3)) < 1e-10
+@given(m=st.integers(-5, 5), n=st.integers(1, 3), m2=st.integers(-5, 5),
+       n2=st.integers(1, 3), s=st.floats(0.0, 20.0))
+@example(m=0, n=1, m2=0, n2=2, s=1.3)
+def test_brute_element_forbidden_pair(deformed_spec, m, n, m2, n2, s):
+    # only |m - m'| = 1 couples: the assembled element is exactly zero and
+    # the brute-force sandwich is round-off against an allowed neighbour
+    assume(abs(m - m2) != 1)
+    spec = deformed_spec
+    source = sf.mode_make(m, n, spec)
+    forbidden = pt.ModePair(source=source, target=sf.mode_make(m2, n2, spec))
+    allowed = pt.ModePair(source=source, target=sf.mode_make(m + 1, n2, spec))
+    assert pt.element(forbidden, spec, s).total == 0
+    assert (abs(oracle.brute_element(forbidden, spec, s))
+            <= 1e-12 * abs(oracle.brute_element(allowed, spec, s)))
 
 
 def test_brute_element_at_release_time(deformed_spec):

@@ -229,6 +229,24 @@ def test_amplitudes_regime_flag():
     assert not table.regime_ok
 
 
+def test_regime_limit_separates_calibrated_amplitudes():
+    # (0,1) into the +-1 family, standard parameters to t = 50: against the
+    # CN oracle TDPT is good to 11 % of max P at eps = 0.1 (leakage 0.020)
+    # and off by 34 % at eps = 0.2 (leakage 0.080), so the first is silent
+    # and the second warns
+    def run(eps):
+        spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, gamma=0.5, epsilon=eps)
+        initial = sf.mode_make(0, 1, spec)
+        targets = [sf.mode_make(m, n, spec) for m in (-1, 1) for n in range(1, 5)]
+        return pt.amplitudes(initial, targets, spec, np.linspace(0.0, 50.0, 11))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(0.1).regime_ok
+    with pytest.warns(UserWarning, match="perturbative regime"):
+        assert not run(0.2).regime_ok
+
+
 def test_amplitudes_one_row_per_target_and_deterministic(spec):
     initial = sf.mode_make(0, 1, spec)
     targets = [sf.mode_make(1, 1, spec), sf.mode_make(-1, 1, spec)]
