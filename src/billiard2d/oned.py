@@ -127,10 +127,15 @@ def box_eigenmode_1d(spec: Box1DSpec, n: int) -> np.ndarray:
 def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.ndarray:
     """Crank-Nicolson propagation of the transformed 1D generator.
 
-    Tridiagonal solves; operator frozen at the half step.
+    Tridiagonal solves; operator frozen at the half step.  ValueError unless
+    dt is finite and > 0 and t1 is not before t0.
     """
     from scipy.linalg import solve_banded
 
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not t1 >= t0:
+        raise ValueError(f"t1 = {t1} is before the start time t0 = {t0}")
     phi = np.asarray(phi, dtype=complex).copy()
     total = t1 - t0
     nsteps = max(1, round(total / dt))

@@ -129,6 +129,16 @@ def test_cn_step_solves_its_own_equation():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
+@pytest.mark.parametrize("t1, dt", [(0.5, 0.01), (math.nan, 0.01), (1.5, -0.01),
+                                    (1.5, 0.0), (1.5, math.nan), (1.5, math.inf)])
+def test_propagate_1d_rejects_bad_time_arguments(t1, dt):
+    spec = oned.Box1DSpec(kappa=0.1, nx=64)
+    phi0 = oned.box_eigenmode_1d(spec, 1)
+    with pytest.raises(ValueError, match="t1" if dt == 0.01 else "dt"):
+        oned.propagate_1d(spec, phi0, 1.0, t1, dt)
+    assert np.array_equal(oned.propagate_1d(spec, phi0, 1.0, 1.0, 0.01), phi0)
+
+
 def test_apply_h1d_rejects_wrong_shape():
     spec = oned.Box1DSpec(nx=64)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,6 +211,93 @@ def test_propagate_solver_failure_raises(deformed_spec):
     with pytest.raises(RuntimeError, match="converge"):
         oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
                          5.0, 5.0, rtol=1e-14, max_iter=1)
+
+
+def test_propagate_max_iter_caps_operator_applications(deformed_spec, monkeypatch):
+    # max_iter bounds GMRES's inner iterations, not its restart cycles of 20
+    calls = []
+    apply = oracle.EffectiveOperator.apply
+    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
+                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+    psi0 = sample_mode(sf.mode_make(0, 1, deformed_spec), deformed_spec, 0.0, 32, 16)
+    with pytest.raises(RuntimeError, match="converge"):
+        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
+                         5.0, 5.0, rtol=1e-14, max_iter=5)
+    # right-hand side, block-solve residual, GMRES's first and last residual
+    assert len(calls) <= 5 + 4
+
+
+@pytest.mark.parametrize("t1, dt", [(0.5, 0.01), (math.nan, 0.01), (1.5, -0.01),
+                                    (1.5, 0.0), (1.5, math.nan), (1.5, math.inf)])
+def test_propagate_rejects_bad_time_arguments(dilating_spec, t1, dt):
+    fac = pantographic_factory(dilating_spec, 32, 16)
+    psi0 = sample_mode(sf.mode_make(0, 1, dilating_spec), dilating_spec, 1.0, 32, 16)
+    with pytest.raises(ValueError, match="t1" if dt == 0.01 else "dt"):
+        oracle.propagate(fac, psi0, t1, dt)
+    same = oracle.propagate(fac, psi0, 1.0, dt if dt == 0.01 else 0.01)
+    assert same.time == 1.0 and np.array_equal(same.values, psi0.values)
+
+
+def reference_apply(op, v):
+    """H_eff on grid fields v (..., nr, ntheta), term by term on the grid,
+    with the Dirichlet row of the result zeroed."""
+    stencils = oracle._radial_stencils(op.nr, op.r0)
+    mult = oracle._spectral_multipliers(op.ntheta)
+    out = np.zeros(v.shape, dtype=complex)
+    for _, coeff, name, p in op.terms:
+        w = np.fft.ifft(np.fft.fft(v, axis=-1) * mult[p], axis=-1)
+        lower, diag, upper = (band[:, None] * coeff for band in stencils[name])
+        out += diag * w
+        out[..., :-1, :] += upper[:-1] * w[..., 1:, :]
+        out[..., 1:, :] += lower[1:] * w[..., :-1, :]
+        out[..., 0, :] += lower[0] * np.roll(w[..., 0, :], op.ntheta // 2, axis=-1)
+    out[..., -1, :] = 0.0
+    return out
+
+
+def dense_interior(op):
+    """The reference H_eff on the interior rows, one column per unit vector."""
+    ni = op.nr - 1
+    units = np.zeros((ni * op.ntheta, op.nr, op.ntheta))
+    units[:, :-1, :] = np.eye(ni * op.ntheta).reshape(-1, ni, op.ntheta)
+    return units, reference_apply(op, units)[:, :-1, :].reshape(ni * op.ntheta, -1).T
+
+
+@given(seed=st.integers(0, 2**32 - 1), nr=st.integers(16, 24),
+       ntheta=st.integers(8, 10).map(lambda k: 2 * k), kappa=st.floats(0.02, 0.3),
+       epsilon=st.floats(0.0, 0.3), pantographic=st.booleans(), t=st.floats(0.0, 3.0))
+def test_cn_step_matches_dense_reference(seed, nr, ntheta, kappa, epsilon, pantographic, t):
+    spec = DomainSpec(kappa=kappa, gamma=5.0 * kappa, epsilon=epsilon)
+    fac = (pantographic_factory if pantographic else deformed_factory)(spec, nr, ntheta)
+    h, ni = 0.01, nr - 1
+    rng = np.random.default_rng(seed)
+    psi = oracle.GridWavefunction(
+        rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta)), 1.0, t)
+    _, dense = dense_interior(fac(t + 0.5 * h))
+    s = 0.5j * h / spec.hbar
+    eye = np.eye(ni * ntheta)
+    want = np.linalg.solve(eye + s * dense, (eye - s * dense) @ psi.values[:-1].ravel())
+    got = oracle.propagate(fac, psi, t + h, h, rtol=1e-14).values
+    assert np.linalg.norm(got[:-1].ravel() - want) <= 1e-12 * np.linalg.norm(want)
+    assert not got[-1].any()
+
+    # the same stencils with random theta-constant offsets, so that the
+    # parity ghosts of (1/r) d_r and d_rr no longer cancel in the means
+    op = dataclasses.replace(fac(t), terms=[(part, c + rng.normal(), name, p)
+                                            for part, c, name, p in fac(t).terms])
+    units, dense = dense_interior(op)
+    heff = np.array([oracle.apply_heff(op, oracle.GridWavefunction(u, 1.0)).values[:-1].ravel()
+                     for u in units]).T
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(heff - dense)) <= 1e-12 * scale
+    # the Fourier blocks are the m -> m part of H, i.e. its theta-constant
+    # part, with the parity ghost in row 0's diagonal
+    hhat = np.fft.ifft(np.fft.fft(dense.reshape(ni, ntheta, ni, ntheta), axis=1), axis=3)
+    lower, diag, upper = op.mean_blocks()
+    blocks = np.array([np.diag(diag[:, m]) + np.diag(upper[:-1, m], 1)
+                       + np.diag(lower[1:, m], -1) for m in range(ntheta)])
+    assert not lower[0].any()
+    assert np.max(np.abs(np.einsum("imjm->mij", hhat) - blocks)) <= 1e-12 * scale
 
 
 def test_propagate_block_diagonal_no_m_leakage(dilating_spec):
