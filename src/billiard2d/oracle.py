@@ -372,7 +372,7 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
 
 # -- brute-force first-order matrix elements --------------------------------
 
-def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
+def brute_element(pair, spec: DomainSpec, s, nr: int = 160,
                   ntheta: int = 64, dressed: bool = True, parts: bool = False):
     """<phi_target(s)| H_eff^(1)(s) |phi_source(s)> by direct 2-d quadrature.
 
@@ -381,14 +381,19 @@ def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
     integrand; no radial/time factorization or selection algebra is used,
     which is what makes this an independent check of the assembled elements.
     With ``dressed=False`` the sandwich is taken between bare eigenmodes.
+    ``s`` may be an array of times: the result (each of the three parts with
+    ``parts=True``) is then an array of its shape, and a scalar ``s`` gives
+    a ``complex``.
     """
     tgt, src = pair.target, pair.source
-    a = alpha(spec, s) if dressed else 0.0
+    s = np.asarray(s, dtype=float)
+    # one row of radial samples per time
+    a = (alpha(spec, s) if dressed else np.zeros_like(s))[..., None]
     rel = (np.exp(1j * (beta(src, spec, s) - beta(tgt, spec, s)))
            if dressed else 1.0)
-    g = float(spec.g(s))
-    gd = float(spec.gdot(s))
-    lam = float(spec.lam(s))
+    g = spec.g(s)
+    gd = spec.gdot(s)
+    lam = spec.lam(s)
 
     rule, ut, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, nr)
     _, us, dus, d2us = radial_profile(abs(src.m), src.n, spec.r0, nr)
@@ -405,9 +410,9 @@ def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
     x_r = w0 / r**2 + w1 / r
 
     # the e^{+- i a r^2} factors cancel between bra and ket; radial integrals
-    i_lap = np.sum(wr * ut * lap_r)
-    i_dil = np.sum(wr * ut * dil_r)
-    i_x = np.sum(wr * ut * x_r)
+    i_lap = np.sum(wr * ut * lap_r, axis=-1)
+    i_dil = np.sum(wr * ut * dil_r, axis=-1)
+    i_x = np.sum(wr * ut * x_r, axis=-1)
 
     theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
     dtheta = 2.0 * math.pi / ntheta
@@ -417,12 +422,12 @@ def brute_element(pair, spec: DomainSpec, s: float, nr: int = 160,
 
     pref1 = spec.hbar**2 / spec.mu * g / lam**2
     pref3 = -spec.hbar**2 / (2.0 * spec.mu) * g / lam**2
-    h1 = spec.epsilon * rel * pref1 * i_lap * ang_cos
-    h2 = spec.epsilon * rel * 1j * spec.hbar * gd * i_dil * ang_cos
-    h3 = spec.epsilon * rel * pref3 * i_x * ang_h3
-    if parts:
-        return complex(h1), complex(h2), complex(h3)
-    return complex(h1 + h2 + h3)
+    h = (spec.epsilon * rel * pref1 * i_lap * ang_cos,
+         spec.epsilon * rel * 1j * spec.hbar * gd * i_dil * ang_cos,
+         spec.epsilon * rel * pref3 * i_x * ang_h3)
+    if s.ndim == 0:
+        h = tuple(complex(x) for x in h)
+    return h if parts else h[0] + h[1] + h[2]
 
 
 def brute_element_integrated(pair, spec: DomainSpec, t: float,
@@ -435,8 +440,7 @@ def brute_element_integrated(pair, spec: DomainSpec, t: float,
         return de * s / (spec.hbar * (1.0 + spec.kappa * s))
 
     def f(svals):
-        return np.array([brute_element(pair, spec, float(s), nr, ntheta)
-                         for s in np.atleast_1d(svals)])
+        return brute_element(pair, spec, svals, nr, ntheta)
 
     return complex(adaptive_quad_vec(f, 0.0, t, abs_tol, phase=phase))
 

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from billiard2d import cli
 
@@ -146,6 +149,20 @@ def test_main_error_is_machine_readable(tmp_path, capsys):
     assert "epsilon" in record["detail"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+def test_main_rejects_non_finite_float(key, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"m_max = 1\nn_max = 1\n{key} = {value}\n")
+    status = cli.main(["modes", "--config", str(cfgfile), "--out", str(out)])
+    assert status == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert f"'{key}'" in record["detail"]
+    assert not out.exists()
+
+
 def test_main_out_override(tmp_path):
     out = tmp_path / "override.csv"
     cfgfile = tmp_path / "m.cfg"
@@ -155,12 +172,86 @@ def test_main_out_override(tmp_path):
     assert out.exists()
 
 
-def test_cli_import_loads_no_linalg_or_sparse():
-    # only the validate task needs the CN oracle and its scipy.linalg/sparse
+def _fresh_python(code: str, **env_vars) -> str:
+    """stdout of ``code`` run in a new interpreter that imports the package
+    from this checkout; OPENBLAS_NUM_THREADS is removed from its environment
+    (importing cli here has set it in this process) unless given."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, billiard2d.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(src), **env_vars)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_linalg_or_sparse():
+    # only the validate task needs the CN oracle and its scipy.linalg/sparse
+    code = ("import sys, billiard2d.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+THREADS_PROBE = """
+import json, os, sys
+import billiard2d
+package_loads_numpy = "numpy" in sys.modules
+import billiard2d.cli, scipy.linalg
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([package_loads_numpy, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
+    # the CLI sets the default before numpy (and numpy's and scipy's
+    # OpenBLAS) loads, so both libraries start no worker thread
+    package_loads_numpy, value, threads = json.loads(_fresh_python(THREADS_PROBE))
+    assert not package_loads_numpy
+    assert value == "1"
+    assert threads in (None, 1)
+    # a caller's own setting wins
+    _, value, _ = json.loads(_fresh_python(THREADS_PROBE, OPENBLAS_NUM_THREADS="3"))
+    assert value == "3"
+
+
+@st.composite
+def config_texts(draw):
+    """A config document over a random subset of the keys, all values valid."""
+    values = {
+        "mu": draw(st.floats(1e-3, 1e3)),
+        "hbar": draw(st.floats(1e-3, 1e3)),
+        "kappa": draw(st.floats(1e-3, 10.0)),
+        "gamma": draw(st.floats(1e-3, 1e3)),
+        "epsilon": draw(st.floats(0.0, 0.5)),
+        "r0": draw(st.floats(1e-3, 1e3)),
+        "dt": draw(st.floats(1e-6, 1.0)),
+        "m_max": draw(st.integers(1, 20)),
+        "n_max": draw(st.integers(1, 20)),
+        "nr": draw(st.integers(1, 512)),
+        "ntheta": draw(st.integers(1, 128)),
+        "n_samples": draw(st.integers(1, 1000)),
+        "task": draw(st.sampled_from(cli.TASKS)),
+        "initial": "{} {}".format(draw(st.integers(-9, 9)), draw(st.integers(1, 9))),
+        "targets": "; ".join(f"{m},{n}" for m, n in draw(st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(1, 9)), max_size=4))),
+        "out": draw(st.sampled_from(["a.csv", "runs/b.csv", "c"])),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values) + ["t_end"]), unique=True))
+    # t_end * kappa <= 100, with the kappa in effect
+    kappa = values["kappa"] if "kappa" in keys else cli.RunConfig.kappa
+    values["t_end"] = draw(st.floats(1e-3, 99.0)) / kappa
+    lines = [f"{k} = {values[k]!r}" if isinstance(values[k], float)
+             else f"{k} = {values[k]}" for k in keys]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=config_texts())
+def test_sidecar_round_trips_the_resolved_config(text):
+    cfg = cli.parse_config(text)
+    with tempfile.TemporaryDirectory() as where:
+        out = Path(where) / "out.csv"
+        cli._write_sidecar(out, cfg)
+        payload = json.loads(out.with_suffix(".csv.json").read_text(encoding="utf-8"))
+    payload["initial"] = tuple(payload["initial"])
+    payload["targets"] = [tuple(t) for t in payload["targets"]]
+    assert cli.RunConfig(**payload) == cfg

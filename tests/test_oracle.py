@@ -338,6 +338,22 @@ def test_brute_element_at_release_time(deformed_spec):
     assert abs(h2) > 1e-4
 
 
+def test_brute_element_array_matches_scalar_calls(deformed_spec):
+    # one call over a node set gives each node's scalar call, dressed or bare
+    spec = deformed_spec
+    p = pt.ModePair(source=sf.mode_make(1, 2, spec), target=sf.mode_make(2, 1, spec))
+    s = np.array([0.0, 0.3, 1.7, 6.0, 40.0])
+    assert isinstance(oracle.brute_element(p, spec, 1.7), complex)
+    for dressed in (True, False):
+        got = np.array(oracle.brute_element(p, spec, s, dressed=dressed, parts=True))
+        want = np.array([oracle.brute_element(p, spec, float(x), dressed=dressed,
+                                              parts=True) for x in s]).T
+        assert got.shape == (3, s.size)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        total = oracle.brute_element(p, spec, s, dressed=dressed)
+        assert np.all(np.abs(total - want.sum(axis=0)) <= 1e-14 * np.abs(want.sum(axis=0)))
+
+
 def test_project_self_and_orthogonal(dilating_spec):
     spec = dilating_spec
     m01 = sf.mode_make(0, 1, spec)
