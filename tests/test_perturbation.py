@@ -152,7 +152,8 @@ def test_element_pieces_match_brute_parts(spec):
     phase = lambda s: de * s / (spec.hbar * (1 + spec.kappa * s))
 
     def f(svals):
-        return np.array(oracle.brute_element(p, spec, svals, parts=True))
+        return np.array([oracle.brute_element(p, spec, float(s), parts=True)
+                         for s in np.atleast_1d(svals)]).T
 
     parts = sf.adaptive_quad_vec(f, 0.0, t, 1e-11, phase=phase)
     for got, want in zip((el.h1, el.h2, el.h3), parts):

@@ -101,6 +101,19 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_library_modules_load_no_scipy():
+    # `import billiard2d` loads no submodule, so import the ones that must
+    # leave scipy out (the CN oracle and the CLI's validate task need it)
+    src = Path(sf.__file__).resolve().parents[1]
+    code = ("import sys, billiard2d.specfun, billiard2d.domain, "
+            "billiard2d.pantograph, billiard2d.perturbation; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_gauss_legendre_small_rules():
     r1 = sf.gauss_legendre(1, -1.0, 1.0)
     assert r1.nodes[0] == pytest.approx(0.0, abs=1e-15)
