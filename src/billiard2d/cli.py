@@ -70,7 +70,7 @@ class RunConfig:
             v = getattr(self, key)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"config key '{key}' must be finite")
-        for key in ("mu", "hbar", "kappa", "gamma", "r0", "dt"):
+        for key in ("mu", "hbar", "kappa", "gamma", "r0", "dt", "t_end"):
             v = getattr(self, key)
             if v is not None and v <= 0:
                 raise ValueError(f"config key '{key}' must be positive")
@@ -201,7 +201,9 @@ def _task_energy_rate(cfg: RunConfig, out: Path) -> None:
     spec = cfg.domain_spec()
     mode = specfun.mode_make(*cfg.initial, spec)
     state = pantograph.PantographicState.single(mode)
-    times = np.linspace(0.0, cfg.t_end, max(cfg.n_samples, 5))
+    if cfg.n_samples < 3:  # np.gradient(edge_order=2) needs three points
+        raise ValueError("config key 'n_samples' must be >= 3 for energy-rate")
+    times = np.linspace(0.0, cfg.t_end, cfg.n_samples)
     contact = np.array([pantograph.energy_rate(state, spec, t) for t in times])
     energies = np.array([pantograph.mean_energy(state, spec, t) for t in times])
     h = times[1] - times[0]

@@ -13,8 +13,9 @@ polar origin is handled by parity ghosts: the point (-r, theta) is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+import dataclasses
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 MIN_GRID = 16
+_BRUTE_NR = 160  # Gauss-Legendre radial nodes of the brute-force sandwich
+_BRUTE_NTHETA = 64  # angular nodes of the brute-force sandwich
 
 
 def _grid_radii(nr: int, r0: float) -> np.ndarray:
@@ -156,17 +159,15 @@ class EffectiveOperator:
     nr: int
     ntheta: int
     r0: float
-    t: float
     hbar: float
-    terms: list  # (part, coefficient(theta), radial stencil, p): acts on d_theta^p
-    pantographic: bool
-    _split_cache: dict = field(default_factory=dict, init=False, repr=False)
+    terms: list  # (coefficient(theta), radial stencil, p): acts on d_theta^p
 
     def radii(self) -> np.ndarray:
         return _grid_radii(self.nr, self.r0)
 
-    def _split(self, parts: str):
-        """(blocks, rest) of the ``parts`` terms on the interior rows, cached.
+    @cached_property
+    def _split(self):
+        """(blocks, rest) of the terms on the interior rows.
 
         Each coefficient c(theta) splits into cbar, c[0] if c is exactly
         constant and its mean otherwise, and c - cbar.  ``blocks`` is
@@ -174,35 +175,41 @@ class EffectiveOperator:
         constant, else (ps, bands): the real-space (lower, diag, upper) of
         the c - cbar summed per derivative order p in ``ps``.
         """
-        if parts not in self._split_cache:
-            ni, nth = self.nr - 1, self.ntheta
-            stencils = _radial_stencils(self.nr, self.r0)
-            terms = [(c, name, p) for part, c, name, p in self.terms if part in parts]
-            coeffs = np.array([c for c, _, _ in terms], dtype=complex).reshape(-1, nth)
-            const = (coeffs == coeffs[:, :1]).all(axis=1)
-            cbar = np.where(const, coeffs[:, 0], coeffs.mean(axis=1))
-            ps = np.array([p for *_, p in terms], dtype=int)
-            # (3 (nr - 1), terms), real: every band of every stencil, one column a term
-            radial = np.array([stencils[name] for _, name, _ in terms]).reshape(
-                -1, 3, self.nr)[:, :, :ni].reshape(-1, 3 * ni).T
+        ni, nth = self.nr - 1, self.ntheta
+        stencils = _radial_stencils(self.nr, self.r0)
+        coeffs = np.array([c for c, _, _ in self.terms], dtype=complex).reshape(-1, nth)
+        const = (coeffs == coeffs[:, :1]).all(axis=1)
+        cbar = np.where(const, coeffs[:, 0], coeffs.mean(axis=1))
+        ps = np.array([p for *_, p in self.terms], dtype=int)
+        # (3 (nr - 1), terms), real: every band of every stencil, one column a term
+        radial = np.array([stencils[name] for _, name, _ in self.terms]).reshape(
+            -1, 3, self.nr)[:, :, :ni].reshape(-1, 3 * ni).T
 
-            def summed(cols, fields):  # sum of stencil x field over the terms in cols
-                # a real matmul on (re, im) pairs: a complex one cost ~1 ms on 2 cores
-                return (radial[:, cols] @ fields.view(float)).view(complex).reshape(3, ni, nth)
+        def summed(cols, fields):  # sum of stencil x field over the terms in cols
+            # a real matmul on (re, im) pairs: a complex one cost ~1 ms on 2 cores
+            return (radial[:, cols] @ fields.view(float)).view(complex).reshape(3, ni, nth)
 
-            blocks = summed(slice(None), cbar[:, None] * _spectral_multipliers(nth)[ps])
-            # the ghost (r_0, theta + pi) is a half-turn roll: (-1)^m per wavenumber
-            blocks[1, 0] += blocks[0, 0] * (-1.0) ** np.arange(nth)
-            blocks[0, 0] = 0.0
-            blocks.setflags(write=False)
-            rest = coeffs - cbar[:, None]
-            varying = sorted(set(ps[~const].tolist()))
-            self._split_cache[parts] = (blocks, (varying, np.stack(
-                [summed(ps == p, rest[ps == p]) for p in varying], axis=1)) if varying else None)
-        return self._split_cache[parts]
+        blocks = summed(slice(None), cbar[:, None] * _spectral_multipliers(nth)[ps])
+        # the ghost (r_0, theta + pi) is a half-turn roll: (-1)^m per wavenumber
+        blocks[1, 0] += blocks[0, 0] * (-1.0) ** np.arange(nth)
+        blocks[0, 0] = 0.0
+        blocks.setflags(write=False)
+        rest = coeffs - cbar[:, None]
+        varying = sorted(set(ps[~const].tolist()))
+        return blocks, (varying, np.stack(
+            [summed(ps == p, rest[ps == p]) for p in varying], axis=1)) if varying else None
 
-    def _apply_spectrum(self, xhat: np.ndarray, parts: str) -> np.ndarray:
-        (lower, diag, upper), rest = self._split(parts)
+    def apply(self, xhat: np.ndarray) -> np.ndarray:
+        """H_eff applied to xhat = fft(v[:-1], axis=1), the angular spectrum
+        of a grid field's interior rows, (nr - 1, ntheta): the form
+        :func:`propagate` carries.  Grid fields go through :func:`apply_heff`.
+        """
+        if xhat.shape != (self.nr - 1, self.ntheta):
+            raise ValueError(
+                f"apply takes the ({self.nr - 1}, {self.ntheta}) angular spectrum of the "
+                f"interior rows, got {xhat.shape}; apply_heff takes ({self.nr}, "
+                f"{self.ntheta}) grid fields")
+        (lower, diag, upper), rest = self._split
         out = diag * xhat
         out[:-1] += upper[:-1] * xhat[1:]
         out[1:] += lower[1:] * xhat[:-1]
@@ -216,29 +223,13 @@ class EffectiveOperator:
             out += np.fft.fft(acc, axis=1)
         return out
 
-    def apply(self, v: np.ndarray, parts: str = "123") -> np.ndarray:
-        """The ``parts`` terms of H_eff applied to v.
-
-        v is either a grid field (nr, ntheta), whose Dirichlet row is read
-        and returned as zero, or the angular spectrum fft(v[:-1], axis=1) of
-        its interior rows, (nr - 1, ntheta), the form :func:`propagate`
-        carries.  The result comes back in the form v came in.
-        """
-        if v.shape == (self.nr - 1, self.ntheta):
-            return self._apply_spectrum(v, parts)
-        if v.shape != (self.nr, self.ntheta):
-            raise ValueError(f"cannot apply a ({self.nr}, {self.ntheta}) operator to {v.shape}")
-        out = np.zeros(v.shape, dtype=complex)
-        out[:-1] = np.fft.ifft(self._apply_spectrum(np.fft.fft(v[:-1], axis=1), parts), axis=1)
-        return out
-
     def mean_blocks(self):
         """Read-only (lower, diag, upper), each (nr - 1, ntheta) over the
         interior rows with the Fourier index along axis 1: the theta-constant
         part of every term times (i m)^p, the parity ghost folded into row 0's
         diagonal as (-1)^m.  For a pantographic boundary they ARE the operator.
         """
-        return tuple(self._split("123")[0])
+        return tuple(self._split[0])
 
 
 def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
@@ -257,17 +248,16 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
     q = 1.0 / boundary.value(theta, t)
     pref = -spec.hbar**2 / (2.0 * spec.mu)
     c_lap = pref * q * q
-    terms = [("1", c_lap, "lap", 0), ("1", c_lap, "inv_r2", 2),
-             ("2", 1j * spec.hbar * (boundary.dt(theta, t) * q), "dil", 0)]
+    terms = [(c_lap, "lap", 0), (c_lap, "inv_r2", 2),
+             (1j * spec.hbar * (boundary.dt(theta, t) * q), "dil", 0)]
     if not boundary.pantographic:
         qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
         c_mixed = pref * 2.0 * q * qth
-        terms += [("3", pref * q * qthth, "inv_r2", 0),
-                  ("3", pref * (2.0 * qth**2 + q * qthth), "dr_r", 0),
-                  ("3", c_mixed, "inv_r2", 1), ("3", pref * qth**2, "drr", 0),
-                  ("3", c_mixed, "dr_r", 1)]
-    return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, t=t, hbar=spec.hbar,
-                             terms=terms, pantographic=bool(boundary.pantographic))
+        terms += [(pref * q * qthth, "inv_r2", 0),
+                  (pref * (2.0 * qth**2 + q * qthth), "dr_r", 0),
+                  (c_mixed, "inv_r2", 1), (pref * qth**2, "drr", 0),
+                  (c_mixed, "dr_r", 1)]
+    return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, hbar=spec.hbar, terms=terms)
 
 
 def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction:
@@ -276,7 +266,9 @@ def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction
         raise ValueError("grid mismatch between operator and wavefunction")
     if psi.nr < MIN_GRID or psi.ntheta < MIN_GRID:
         raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
-    return GridWavefunction(op.apply(psi.values), psi.r0, psi.time)
+    values = np.zeros(psi.values.shape, dtype=complex)
+    values[:-1] = np.fft.ifft(op.apply(np.fft.fft(psi.values[:-1], axis=1)), axis=1)
+    return GridWavefunction(values, psi.r0, psi.time)
 
 
 class _BlockFactor:
@@ -372,8 +364,8 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
 
 # -- brute-force first-order matrix elements --------------------------------
 
-def brute_element(pair, spec: DomainSpec, s, nr: int = 160,
-                  ntheta: int = 64, dressed: bool = True, parts: bool = False):
+def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
+                  parts: bool = False):
     """<phi_target(s)| H_eff^(1)(s) |phi_source(s)> by direct 2-d quadrature.
 
     The exact solutions are built explicitly (phases included) and the
@@ -395,8 +387,8 @@ def brute_element(pair, spec: DomainSpec, s, nr: int = 160,
     gd = spec.gdot(s)
     lam = spec.lam(s)
 
-    rule, ut, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, nr)
-    _, us, dus, d2us = radial_profile(abs(src.m), src.n, spec.r0, nr)
+    rule, ut, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, _BRUTE_NR)
+    _, us, dus, d2us = radial_profile(abs(src.m), src.n, spec.r0, _BRUTE_NR)
     r = rule.nodes
     # measure r dr times both radial normalizations (2 pi)^{-1/2} A
     wr = rule.weights * r * (tgt.norm * src.norm / (2.0 * math.pi))
@@ -414,8 +406,8 @@ def brute_element(pair, spec: DomainSpec, s, nr: int = 160,
     i_dil = np.sum(wr * ut * dil_r, axis=-1)
     i_x = np.sum(wr * ut * x_r, axis=-1)
 
-    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    dtheta = 2.0 * math.pi / ntheta
+    dtheta = 2.0 * math.pi / _BRUTE_NTHETA
+    theta = np.arange(_BRUTE_NTHETA) * dtheta
     eang = np.exp(1j * (src.m - tgt.m) * theta)
     ang_cos = np.sum(np.cos(theta) * eang) * dtheta
     ang_h3 = np.sum((np.cos(theta) + 2j * src.m * np.sin(theta)) * eang) * dtheta
@@ -431,8 +423,7 @@ def brute_element(pair, spec: DomainSpec, s, nr: int = 160,
 
 
 def brute_element_integrated(pair, spec: DomainSpec, t: float,
-                             abs_tol: float = 1e-9, nr: int = 160,
-                             ntheta: int = 64) -> complex:
+                             abs_tol: float = 1e-9) -> complex:
     """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive quadrature of the sandwich."""
     de = pair.target.energy - pair.source.energy
 
@@ -440,7 +431,7 @@ def brute_element_integrated(pair, spec: DomainSpec, t: float,
         return de * s / (spec.hbar * (1.0 + spec.kappa * s))
 
     def f(svals):
-        return brute_element(pair, spec, svals, nr, ntheta)
+        return brute_element(pair, spec, svals)
 
     return complex(adaptive_quad_vec(f, 0.0, t, abs_tol, phase=phase))
 
@@ -483,11 +474,15 @@ def read_snapshot(path, r0: float = 1.0) -> GridWavefunction:
 
 
 def _h1_mean_energy(psi: GridWavefunction, spec: DomainSpec) -> float:
-    """<psi|H1|psi>/<psi|psi> on the grid with the pantographic 1/lam^2."""
-    bnd = BoundaryFunction.pantographic_from(spec)
-    op = effective_operator(bnd, spec, psi.time, psi.nr, psi.ntheta)
-    h1 = GridWavefunction(op.apply(psi.values, parts="1"), psi.r0, psi.time)
-    return float((psi.inner(h1)).real / psi.inner(psi).real)
+    """<psi|H1|psi>/<psi|psi> on the grid with the pantographic 1/lam^2.
+
+    H1 is H_eff of the static box (kappa = 0: R = 1, no H2) over lam(t)^2.
+    """
+    static = dataclasses.replace(spec, kappa=0.0)
+    op = effective_operator(BoundaryFunction.pantographic_from(static), static,
+                            psi.time, psi.nr, psi.ntheta)
+    h1 = psi.inner(apply_heff(op, psi)).real / psi.inner(psi).real
+    return float(h1 / spec.lam(psi.time) ** 2)
 
 
 def fd_energy_rate(trajectory, spec: DomainSpec) -> np.ndarray:

@@ -102,8 +102,8 @@ class PantographicState:
                  * np.exp(1j * (mode.m * theta + beta(mode, spec, t))))
                 for mode, c in zip(self.modes, self.amplitudes)]
 
-    def _field(self, spec: DomainSpec, r, theta, t):
-        """phi and d_r phi; time enters only through alpha and beta.
+    def fields(self, spec: DomainSpec, r, theta, t):
+        """(phi, d_r phi); time enters only through alpha and beta.
 
         Radial J_{|m|}(k r) and k J' times the angular factors, dressed with
         e^{i alpha r^2}, which adds 2 i alpha r phi to d_r phi.
@@ -119,11 +119,11 @@ class PantographicState:
         return dress * u, dress * (du + 2j * a * r * u)
 
     def value(self, spec: DomainSpec, r, theta, t):
-        return self._field(spec, r, theta, t)[0]
+        return self.fields(spec, r, theta, t)[0]
 
     def d_dr(self, spec: DomainSpec, r, theta, t):
         """Radial derivative, analytic: phase term plus k A J' e^{im theta}."""
-        return self._field(spec, r, theta, t)[1]
+        return self.fields(spec, r, theta, t)[1]
 
 
 def _check_modes(state, spec: DomainSpec) -> None:
@@ -147,12 +147,11 @@ def energy_rate(state, spec: DomainSpec, t) -> float:
     """
     _check_modes(state, spec)
     theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
-    rim = np.abs(state.value(spec, spec.r0, theta, t))
-    if rim.max() > 1e-8:
+    rim, grad = state.fields(spec, spec.r0, theta, t)
+    if np.abs(rim).max() > 1e-8:
         warnings.warn(
             "state does not vanish on the fixed boundary; contact-term "
             "energy rate is meaningless", stacklevel=2)
-    grad = state.d_dr(spec, spec.r0, theta, t)
     integral = float(np.sum(np.abs(grad) ** 2) * (2.0 * math.pi / _RATE_THETA)) * spec.r0**2
     lam = float(spec.lam(t))
     pref = -(spec.hbar**2) * spec.kappa / (2.0 * spec.mu * lam**3)

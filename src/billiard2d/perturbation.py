@@ -290,18 +290,17 @@ def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
     return h1, h2, h3
 
 
-def element(pair: ModePair, spec: DomainSpec, t: float,
-            w_points: int = RADIAL_QUAD_POINTS,
-            f_tol: float = 1e-10) -> ElementBreakdown:
-    """Time-integrated first-order matrix element int_0^t <phi|H^(1)(s)|phi'> ds.
+def element(pair: ModePair, spec: DomainSpec, t: float) -> ElementBreakdown:
+    """Time-integrated first-order matrix element int_0^t <phi|H^(1)(s)|phi'> ds,
+    with the amplitudes' F tolerance and radial table.
 
     Exactly zero (selection rule) unless the angular indices differ by one.
     """
     _check_span(spec, t)
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
-    fvals = _f_values(pair, spec, [t], f_tol)
-    wvals = _w_values(pair, spec, w_points)
+    fvals = _f_values(pair, spec, [t], 1e-10)
+    wvals = _w_values(pair, spec, RADIAL_QUAD_POINTS)
     h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, wvals))
     return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals[0])),
                             wvals=tuple(wvals))
@@ -318,9 +317,6 @@ class AmplitudeTable:
 
     def population(self, mode: BesselMode) -> np.ndarray:
         return np.abs(self.entries[mode]) ** 2
-
-    def populations(self) -> dict:
-        return {m: self.population(m) for m in self.entries}
 
     def leakage(self) -> np.ndarray:
         """First-order transition probability into the requested targets."""

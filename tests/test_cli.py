@@ -163,6 +163,42 @@ def test_main_rejects_non_finite_float(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def _main(task, text, tmp_path):
+    """cli.main on a config file holding `text`; (status, output path)."""
+    out = tmp_path / "out.csv"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    return cli.main([task, "--config", str(cfgfile), "--out", str(out)]), out
+
+
+def _error_detail(capsys) -> str:
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    return record["detail"]
+
+
+@pytest.mark.parametrize("task, t_end", [("pantograph", 0.0), ("energy-rate", -5.0),
+                                         ("populations", -5.0)])
+def test_main_rejects_nonpositive_t_end(task, t_end, tmp_path, capsys):
+    # t_end = 0 used to write identical rows, t_end < 0 times running backward
+    status, out = _main(task, f"t_end = {t_end}\n", tmp_path)
+    assert status == 1
+    assert "'t_end'" in _error_detail(capsys)
+    assert not out.exists()
+
+
+def test_main_energy_rate_writes_n_samples_rows(tmp_path, capsys):
+    # fewer than 3 samples leave np.gradient(edge_order=2) nothing to work on
+    for n in (1, 2):
+        status, out = _main("energy-rate", f"n_samples = {n}\nt_end = 4\n", tmp_path)
+        assert status == 1
+        assert "'n_samples'" in _error_detail(capsys)
+        assert not out.exists()
+    status, out = _main("energy-rate", "n_samples = 3\nt_end = 4\n", tmp_path)
+    assert status == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (3, 4)
+
+
 def test_main_out_override(tmp_path):
     out = tmp_path / "override.csv"
     cfgfile = tmp_path / "m.cfg"

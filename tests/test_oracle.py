@@ -78,16 +78,40 @@ def test_apply_heff_rejects_coarse_grid(unit_spec):
 
 def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
     op = pantographic_factory(dilating_spec, 64, 16)(3.0)
-    assert op.pantographic
+    # H1 (lap and the d_theta^2 / r^2 part) and H2 (dil) only: no H3 term
+    assert [(name, p) for _, name, p in op.terms] == [("lap", 0), ("inv_r2", 2), ("dil", 0)]
     rng = np.random.default_rng(0)
-    v = rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16))
-    v[-1] = 0.0
-    assert np.max(np.abs(op.apply(v, parts="3"))) == 0.0
-    # circle through the deformed constructor (epsilon = 0): coefficients
-    # vanish to round-off even though the flag is conservative
+    psi = oracle.GridWavefunction(
+        rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16)), 1.0, 3.0)
+    # circle through the deformed constructor (epsilon = 0): its H3
+    # coefficients vanish to round-off even though the flag is conservative
     circ = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     opc = deformed_factory(circ, 64, 16)(3.0)
-    assert np.max(np.abs(opc.apply(v, parts="3"))) < 1e-12
+    assert len(opc.terms) == 8
+    diff = oracle.apply_heff(opc, psi).values - oracle.apply_heff(op, psi).values
+    assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_apply_takes_only_the_interior_spectrum(dilating_spec):
+    op = pantographic_factory(dilating_spec, 32, 16)(1.0)
+    with pytest.raises(ValueError, match=r"\(31, 16\).*\(32, 16\)"):
+        op.apply(np.zeros((32, 16), dtype=complex))
+    assert op.apply(np.zeros((31, 16), dtype=complex)).shape == (31, 16)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (2, 2)])
+@pytest.mark.parametrize("t", [0.0, 3.0])
+def test_grid_h1_energy_converges_to_mean_energy(dilating_spec, m, n, t):
+    # <H1> of a sampled exact mode on the grid against the quadrature of
+    # pantograph.mean_energy: second order in dr
+    mode = sf.mode_make(m, n, dilating_spec)
+    want = pg.mean_energy(pg.PantographicState.single(mode), dilating_spec, t)
+    err96, err192 = (
+        abs(oracle._h1_mean_energy(sample_mode(mode, dilating_spec, t, nr, 16),
+                                   dilating_spec) / want - 1.0)
+        for nr in (96, 192))
+    assert err96 <= 1e-3
+    assert err96 / err192 >= 3.5
 
 
 def test_pantographic_apply_is_its_mean_blocks(dilating_spec):
@@ -102,7 +126,7 @@ def test_pantographic_apply_is_its_mean_blocks(dilating_spec):
     hv = diag * vhat[:-1]
     hv[:-1] += upper[:-1] * vhat[1:-1]
     hv[1:] += lower[1:] * vhat[:-2]
-    got = op.apply(v)[:-1]
+    got = oracle.apply_heff(op, oracle.GridWavefunction(v, op.r0)).values[:-1]
     assert np.max(np.abs(got - np.fft.ifft(hv, axis=1))) <= 1e-12 * np.max(np.abs(got))
 
 
@@ -156,7 +180,8 @@ def test_apply_heff_first_order_cross_check(unit_spec):
     op_ex = deformed_factory(spec, nr, ntheta)(t)
     op_p = pantographic_factory(spec, nr, ntheta)(t)
     diff = oracle.GridWavefunction(
-        op_ex.apply(ket.values) - op_p.apply(ket.values), spec.r0, t)
+        oracle.apply_heff(op_ex, ket).values - oracle.apply_heff(op_p, ket).values,
+        spec.r0, t)
     got = bra.inner(diff)
     want = oracle.brute_element(
         pt.ModePair(source=m11, target=m01), spec, t, dressed=False)
@@ -244,7 +269,7 @@ def reference_apply(op, v):
     stencils = oracle._radial_stencils(op.nr, op.r0)
     mult = oracle._spectral_multipliers(op.ntheta)
     out = np.zeros(v.shape, dtype=complex)
-    for _, coeff, name, p in op.terms:
+    for coeff, name, p in op.terms:
         w = np.fft.ifft(np.fft.fft(v, axis=-1) * mult[p], axis=-1)
         lower, diag, upper = (band[:, None] * coeff for band in stencils[name])
         out += diag * w
@@ -283,8 +308,8 @@ def test_cn_step_matches_dense_reference(seed, nr, ntheta, kappa, epsilon, panto
 
     # the same stencils with random theta-constant offsets, so that the
     # parity ghosts of (1/r) d_r and d_rr no longer cancel in the means
-    op = dataclasses.replace(fac(t), terms=[(part, c + rng.normal(), name, p)
-                                            for part, c, name, p in fac(t).terms])
+    op = dataclasses.replace(fac(t), terms=[(c + rng.normal(), name, p)
+                                            for c, name, p in fac(t).terms])
     units, dense = dense_interior(op)
     heff = np.array([oracle.apply_heff(op, oracle.GridWavefunction(u, 1.0)).values[:-1].ravel()
                      for u in units]).T

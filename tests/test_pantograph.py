@@ -157,11 +157,9 @@ def test_energy_rate_sign(dilating_spec):
 
 def test_energy_rate_warns_on_bad_state(dilating_spec):
     class Bad:
-        def value(self, spec, r, th, t):
-            return np.ones_like(np.asarray(th), dtype=complex)
-
-        def d_dr(self, spec, r, th, t):
-            return np.zeros_like(np.asarray(th), dtype=complex)
+        def fields(self, spec, r, th, t):
+            th = np.asarray(th)
+            return np.ones_like(th, dtype=complex), np.zeros_like(th, dtype=complex)
 
     with pytest.warns(UserWarning, match="vanish"):
         pg.energy_rate(Bad(), dilating_spec, 1.0)
