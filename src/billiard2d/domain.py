@@ -4,7 +4,7 @@ and fixed-disk pictures of the wavefunction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -104,17 +104,12 @@ class BoundaryFunction:
 
     value: Callable
     dt: Callable
-    pantographic: bool
 
     @staticmethod
     def pantographic_from(spec: DomainSpec) -> "BoundaryFunction":
-        def val(theta, t):
-            return spec.lam(t) * np.ones_like(np.asarray(theta, dtype=float))
-
-        def dtt(theta, t):
-            return spec.lamdot(t) * np.ones_like(np.asarray(theta, dtype=float))
-
-        return BoundaryFunction(val, dtt, pantographic=True)
+        """R = lam: the eps = 0 ellipse, its schedule reset so no NaN g enters."""
+        return BoundaryFunction.deformed_from(
+            replace(spec, epsilon=0.0, gamma=0.0, schedule=None))
 
     @staticmethod
     def deformed_from(spec: DomainSpec) -> "BoundaryFunction":
@@ -135,7 +130,7 @@ class BoundaryFunction:
             return (spec.lamdot(t) / den
                     + spec.lam(t) * spec.epsilon * spec.gdot(t) * np.cos(th) / den**2)
 
-        return BoundaryFunction(val, dtt, pantographic=False)
+        return BoundaryFunction(val, dtt)
 
 
 def to_fixed(psi: Callable, boundary: BoundaryFunction, t: float) -> Callable:

@@ -151,9 +151,8 @@ class EffectiveOperator:
 
     H1 = -hbar^2/(2 mu R^2) lap,  H2 = i hbar (Rdot/R)(1 + r d_r),  and H3
     carries the five deformation terms built from q = 1/R and its theta
-    derivatives.  With R independent of theta H3 vanishes identically, is
-    left out of ``terms``, and the operator block-diagonalizes over angular
-    wavenumbers.
+    derivatives.  When q is the same at every theta node H3 is left out of
+    ``terms`` and the operator is its block-diagonal :meth:`mean_blocks`.
     """
 
     nr: int
@@ -226,8 +225,8 @@ class EffectiveOperator:
     def mean_blocks(self):
         """Read-only (lower, diag, upper), each (nr - 1, ntheta) over the
         interior rows with the Fourier index along axis 1: the theta-constant
-        part of every term times (i m)^p, the parity ghost folded into row 0's
-        diagonal as (-1)^m.  For a pantographic boundary they ARE the operator.
+        part of every term times (i m)^p, parity ghost in row 0's diagonal as
+        (-1)^m.  When every coefficient is theta-constant they ARE the operator.
         """
         return tuple(self._split[0])
 
@@ -236,21 +235,25 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
                        nr: int, ntheta: int) -> EffectiveOperator:
     """Assemble the coefficient fields from the exact boundary at time t.
 
-    Theta derivatives of q = 1/R are taken spectrally from the sampled
-    values, which is exact for the trigonometric-polynomial boundaries used
-    here and spectrally accurate otherwise.
+    H3's five terms enter only if q = 1/R differs between theta nodes (the
+    spectral derivative of a constant q can round to nonzero); its theta
+    derivatives are spectral, exact for the trigonometric-polynomial
+    boundaries here.  ValueError if R or dR/dt is non-finite at a theta node.
     """
     if nr < MIN_GRID or ntheta < MIN_GRID:
         raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
     if ntheta % 2:
         raise ValueError("ntheta must be even")
     theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    q = 1.0 / boundary.value(theta, t)
+    r_ratio, r_dot = boundary.value(theta, t), boundary.dt(theta, t)
+    if not (np.isfinite(r_ratio).all() and np.isfinite(r_dot).all()):
+        raise ValueError(f"non-finite boundary R or dR/dt at t = {t!r}")
+    q = 1.0 / r_ratio
     pref = -spec.hbar**2 / (2.0 * spec.mu)
     c_lap = pref * q * q
     terms = [(c_lap, "lap", 0), (c_lap, "inv_r2", 2),
-             (1j * spec.hbar * (boundary.dt(theta, t) * q), "dil", 0)]
-    if not boundary.pantographic:
+             (1j * spec.hbar * (r_dot * q), "dil", 0)]
+    if (q != q[0]).any():
         qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
         c_mixed = pref * 2.0 * q * qth
         terms += [(pref * q * qthth, "inv_r2", 0),
@@ -308,13 +311,13 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
 
     The state is carried as the angular spectrum of its interior rows; the
     operator is frozen at the half-step time.  Its theta-constant part, the
-    cached :meth:`EffectiveOperator.mean_blocks`, is factored once per step;
-    the theta-varying rest (none for a pantographic boundary, whose step
-    needs no FFT) costs one inverse and one forward FFT per application.  If
-    the block solve leaves a residual above ``rtol``, GMRES preconditioned
-    by the blocks, started from 2 x_n - x_{n-1}, iterates the O(epsilon)
-    angular coupling for at most ``max_iter`` iterations (one operator
-    application each); RuntimeError if that does not converge (dt too large).
+    cached :meth:`EffectiveOperator.mean_blocks`, is factored once per step.
+    An operator without theta-varying rest (pantographic) is its blocks, and
+    the step is one block solve with no FFT.  Otherwise each application
+    costs one inverse and one forward FFT, and GMRES preconditioned by the
+    blocks, started from the block solve and then from 2 x_n - x_{n-1},
+    iterates to ``rtol`` in at most ``max_iter`` iterations (these two govern
+    only such operators); RuntimeError if that does not converge (dt too large).
 
     The pantographic operator is Hermitian under the grid weights r_j, so
     the step conserves the grid norm to round-off.  The H3 stencil of a
@@ -338,14 +341,14 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
         scale = 1j * h / (2.0 * op.hbar)
         factor = _BlockFactor(*op.mean_blocks(), scale)
         b = x - scale * op.apply(x)
-        step = factor.solve(b)
-        resid = b - (step + scale * op.apply(step))
-        if np.linalg.norm(resid) > rtol * np.linalg.norm(b):
+        if op._split[1] is None:
+            step = factor.solve(b)
+        else:
             lin = LinearOperator((b.size,) * 2, dtype=complex, matvec=lambda f: (
                 f + scale * op.apply(f.reshape(b.shape)).ravel()))
             pre = LinearOperator((b.size,) * 2, dtype=complex,
                                  matvec=lambda f: factor.solve(f.reshape(b.shape)).ravel())
-            start = step if prev is None else 2.0 * x - prev
+            start = factor.solve(b) if prev is None else 2.0 * x - prev
             # the legacy callback type makes maxiter count inner iterations
             step, info = gmres(lin, b.ravel(), x0=start.ravel(), M=pre, rtol=rtol,
                                atol=0.0, maxiter=max_iter, callback=lambda _: None,

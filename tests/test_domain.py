@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,8 +86,12 @@ def test_boundary_derivatives_match_fd(deformed_spec):
     h = 1e-6
     dt_fd = (bnd.value(th, t + h) - bnd.value(th, t - h)) / (2 * h)
     assert np.max(np.abs(bnd.dt(th, t) - dt_fd)) < 1e-8
-    assert not bnd.pantographic
-    assert BoundaryFunction.pantographic_from(deformed_spec).pantographic
+    # the pantographic boundary is the eps = 0 ellipse, bit for bit
+    panto = BoundaryFunction.pantographic_from(deformed_spec)
+    circle = BoundaryFunction.deformed_from(dataclasses.replace(deformed_spec, epsilon=0.0))
+    for tt in (0.0, t, 30.0):
+        assert np.array_equal(panto.value(th, tt), circle.value(th, tt))
+        assert np.array_equal(panto.dt(th, tt), circle.dt(th, tt))
 
 
 def test_identity_map_for_unit_boundary(unit_spec):

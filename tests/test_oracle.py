@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from billiard2d import oracle
 from billiard2d import pantograph as pg
 from billiard2d import perturbation as pt
 from billiard2d import specfun as sf
-from billiard2d.domain import BoundaryFunction, DomainSpec
+from billiard2d.domain import BoundaryFunction, DomainSpec, to_moving
+from test_perturbation import _NanSchedule
 
 
 def sample_mode(mode, spec, t, nr, ntheta):
@@ -83,11 +85,13 @@ def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
     rng = np.random.default_rng(0)
     psi = oracle.GridWavefunction(
         rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16)), 1.0, 3.0)
-    # circle through the deformed constructor (epsilon = 0): its H3
-    # coefficients vanish to round-off even though the flag is conservative
+    # circle through the deformed constructor (epsilon = 0): q is constant,
+    # so it builds the same three terms, array for array
     circ = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     opc = deformed_factory(circ, 64, 16)(3.0)
-    assert len(opc.terms) == 8
+    assert len(opc.terms) == len(op.terms)
+    for (cc, cname, cp), (c, name, p) in zip(opc.terms, op.terms):
+        assert (cname, cp) == (name, p) and np.array_equal(cc, c)
     diff = oracle.apply_heff(opc, psi).values - oracle.apply_heff(op, psi).values
     assert np.max(np.abs(diff)) < 1e-12
 
@@ -248,8 +252,68 @@ def test_propagate_max_iter_caps_operator_applications(deformed_spec, monkeypatc
     with pytest.raises(RuntimeError, match="converge"):
         oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
                          5.0, 5.0, rtol=1e-14, max_iter=5)
-    # right-hand side, block-solve residual, GMRES's first and last residual
-    assert len(calls) <= 5 + 4
+    # right-hand side, GMRES's first and last residual
+    assert len(calls) <= 5 + 3
+
+
+def _no_gmres(*args, **kwargs):
+    raise AssertionError("gmres called for a theta-constant operator")
+
+
+def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch):
+    # theta-constant coefficients: the blocks are the operator, so a step is
+    # its right-hand side and one block solve
+    calls = []
+    apply = oracle.EffectiveOperator.apply
+    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
+                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+    monkeypatch.setattr(oracle, "gmres", _no_gmres)
+    psi0 = sample_mode(sf.mode_make(1, 1, dilating_spec), dilating_spec, 0.0, 32, 16)
+    oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, 0.5, 0.01)
+    assert len(calls) == 50
+
+
+@given(ntheta=st.integers(8, 32).map(lambda k: 2 * k), kappa=st.floats(0.01, 0.3),
+       epsilon=st.floats(0.01, 0.3), t=st.floats(0.1, 5.0))
+@example(ntheta=20, kappa=0.1, epsilon=0.05, t=1.0)  # FFT of a constant q rounds here
+def test_h3_only_where_the_boundary_varies(ntheta, kappa, epsilon, t):
+    circle = DomainSpec(kappa=kappa, gamma=5.0 * kappa)
+    op = deformed_factory(circle, 16, ntheta)(t)
+    panto = pantographic_factory(circle, 16, ntheta)(t)
+    assert [(name, p) for _, name, p in op.terms] == [("lap", 0), ("inv_r2", 2), ("dil", 0)]
+    assert all(np.array_equal(c, cp) for (c, _, _), (cp, _, _) in zip(op.terms, panto.terms))
+    ellipse = dataclasses.replace(circle, epsilon=epsilon)
+    assert len(deformed_factory(ellipse, 16, ntheta)(t).terms) == 8
+    # one CN step of the circle is a block solve
+    psi = sample_mode(sf.mode_make(1, 1, circle), circle, t, 16, ntheta)
+    with mock.patch.object(oracle, "gmres", _no_gmres):
+        oracle.propagate(deformed_factory(circle, 16, ntheta), psi, t + 0.01, 0.01)
+
+
+def test_non_finite_boundary_raises_naming_the_time():
+    # g is NaN past t = 1; the operator refuses it before any factorization
+    spec = DomainSpec(kappa=0.1, epsilon=0.05, schedule=_NanSchedule())
+    fac = deformed_factory(spec, 32, 16)
+    assert len(fac(0.5).terms) == 8
+    with pytest.raises(ValueError, match=r"non-finite.*t = 1\.5"):
+        fac(1.5)
+    psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
+    with pytest.raises(ValueError, match=r"non-finite.*t = 1\.125"):
+        oracle.propagate(fac, psi0, 2.0, 0.25)  # the fifth half-step time
+    # the pantographic boundary of the same spec never evaluates the schedule
+    assert len(pantographic_factory(spec, 32, 16)(1.5).terms) == 3
+
+
+def test_collapsing_pantographic_box_raises():
+    # lambda(15) = -0.5, whose c_lap would equal that of lambda = +0.5
+    spec = DomainSpec(kappa=-0.1)
+    bnd = BoundaryFunction.pantographic_from(spec)
+    assert len(oracle.effective_operator(bnd, spec, 5.0, 32, 16).terms) == 3
+    with pytest.raises(ValueError, match="lambda"):
+        oracle.effective_operator(bnd, spec, 15.0, 32, 16)
+    psi = to_moving(lambda r, th: r * np.cos(th), bnd, 15.0)
+    with pytest.raises(ValueError, match="lambda"):
+        psi(np.array([0.1, 0.5]), np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("t1, dt", [(0.5, 0.01), (math.nan, 0.01), (1.5, -0.01),
