@@ -78,15 +78,33 @@ class DomainSpec:
         return self._sched().gdot(t)
 
 
+def _check_span(spec: DomainSpec, t) -> None:
+    """Reject any time t outside the span [0, t_c) on which the box exists
+    (t_c = -1/kappa when kappa < 0, infinite otherwise).
+
+    Each t must be finite and nonnegative with lambda(t) > 0.  lambda is
+    linear with lambda(0) = 1, so it stays positive on all of [0, t] exactly
+    when it is positive at t.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t >= 0) & (spec.lam(t) > 0))
+    if bad.any():
+        tb = float(t[bad][0])
+        raise ValueError(
+            f"t = {tb!r} is outside the box's span: t must be finite and >= 0, "
+            f"and lambda(t) = 1 + kappa t = {float(spec.lam(tb))!r} > 0 "
+            f"(the box collapses at lambda <= 0)")
+
+
 def radius(spec: DomainSpec, theta, t):
     """Exact (unexpanded) boundary ratio R(theta, t) = lam / (1 - eps g cos theta).
 
     The physical wall sits at r = R(theta, t) * r0.  Raises if the domain
-    stops being star-shaped (denominator <= 0) or if lam(t) <= 0.
+    stops being star-shaped (denominator <= 0) or if t is not a time of the
+    box (see _check_span).
     """
+    _check_span(spec, t)
     lam = spec.lam(t)
-    if np.any(lam <= 0):
-        raise ValueError("lambda(t) <= 0: dilation schedule invalid at this time")
     den = 1.0 - spec.epsilon * spec.g(t) * np.cos(np.asarray(theta, dtype=float))
     if np.any(den <= 0):
         raise ValueError("boundary not star-shaped: 1 - eps*g*cos(theta) <= 0")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec
+from .domain import DomainSpec, _check_span
 from .specfun import RADIAL_QUAD_POINTS, BesselMode, _bessel_j_pair, radial_profile
 
 __all__ = [
@@ -143,9 +143,11 @@ def energy_rate(state, spec: DomainSpec, t) -> float:
     state's analytic radial derivative (one-sided finite differences are
     ill-conditioned exactly where this integrand lives).  Nonpositive for a
     dilating box.  Raises ValueError when a mode of the state does not belong
-    to spec.r0.
+    to spec.r0 or t is not a time of the box (negative, non-finite or at
+    lambda(t) <= 0).
     """
     _check_modes(state, spec)
+    _check_span(spec, t)
     theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
     rim, grad = state.fields(spec, spec.r0, theta, t)
     if np.abs(rim).max() > 1e-8:
@@ -168,9 +170,10 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
     is 2 pi sum_m int (|d_r u_m|^2 + |m u_m / r|^2) r dr, where u_m sums
     b J over the modes of that m with b = c A e^{i beta} / sqrt(2 pi), on
     the shared radial table.  Raises ValueError when a mode of the state
-    does not belong to spec.r0.
+    does not belong to spec.r0 or t is not a time of the box.
     """
     _check_modes(state, spec)
+    _check_span(spec, t)
     a = alpha(spec, t)
     by_m = {}
     for mode, b in state._angular(spec, 0.0, t):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import DomainSpec
+from .domain import DomainSpec, _check_span
 from .pantograph import beta
 from .specfun import (
     RADIAL_QUAD_POINTS,
@@ -85,15 +85,9 @@ def xi(pair: ModePair, spec: DomainSpec, t) -> float:
     return beta(pair.source, spec, t) - beta(pair.target, spec, t)
 
 
-def _check_span(spec: DomainSpec, t: float) -> None:
-    """Reject a time span [0, t] over which the box collapses.
-
-    lambda is linear with lambda(0) = 1, so it stays positive on the span
-    exactly when it is positive at t.
-    """
-    if spec.lam(t) <= 0:
-        raise ValueError(
-            f"lambda(t) = 1 + kappa t <= 0 by t = {float(t):g}: the box collapses")
+def _omega(pair: ModePair, spec: DomainSpec) -> float:
+    """Angular frequency Delta E / hbar of the pair's F integrands."""
+    return (pair.target.energy - pair.source.energy) / spec.hbar
 
 
 def _w_values(pair: ModePair, spec: DomainSpec, npoints: int) -> tuple:
@@ -172,8 +166,9 @@ def _barycentric(x, w, values, y):
     return out
 
 
-def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray:
-    """F^(1)..F^(5) at each of the nondecreasing `times`, shape (len(times), 5).
+def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
+    """F^(1)..F^(5) for each angular frequency in `omegas` at each of the
+    nondecreasing `times`, shape (len(omegas), len(times), 5).
 
     In u = s / (1 + kappa s) every integrand is h_k(u) e^{i omega u}, with
     omega = Delta E / hbar and h_k(u) = f_k(s(u)) / (1 - kappa u)^2 smooth.
@@ -186,16 +181,16 @@ def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray
     (one panel when kappa <= 0) and are bisected while the trailing
     Chebyshev coefficients of h exceed tol / u_end, so the summed error
     stays near `tol`; panels still above it after _LEVIN_MAX_DEPTH
-    bisections are accepted with a UserWarning, a non-finite h raises
-    ValueError.
+    bisections are accepted with one UserWarning, a non-finite h raises
+    ValueError.  None of this involves omega, so one panel pass serves every
+    frequency: only the solve for p, its read-out and the carry are per omega.
     """
     hbar, mu, ld = spec.hbar, spec.mu, spec.kappa
-    omega = (pair.target.energy - pair.source.energy) / hbar
     times = np.asarray(times, dtype=float)
     samples = times / spec.lam(times)
-    out = np.zeros((len(times), 5), dtype=complex)
+    out = np.zeros((len(omegas), len(times), 5), dtype=complex)
     u_end = float(samples[-1])
-    if u_end <= 0.0:
+    if u_end <= 0.0 or not len(omegas):
         return out
 
     def s_of(u):
@@ -220,9 +215,9 @@ def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray
     edges.append(u_end)
 
     x, w, diff, tail = _levin_table(_LEVIN_POINTS)
-    shift = 1j * omega * np.eye(_LEVIN_POINTS)
+    eye = np.eye(_LEVIN_POINTS)
     limit = tol / u_end
-    carry = np.zeros(5, dtype=complex)
+    carry = np.zeros((len(omegas), 5), dtype=complex)
     first = 0
     unconverged = []
     stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 2, -1, -1)]
@@ -241,21 +236,25 @@ def _f_values(pair: ModePair, spec: DomainSpec, times, tol: float) -> np.ndarray
                 stack.append((lo, mid, depth + 1))
                 continue
             unconverged.append((lo, hi))
-        p = np.linalg.lstsq(diff / half + shift, hv)[0]
         last = np.searchsorted(samples, hi, side="right") if stack else len(samples)
         us = samples[first:last]
-        pu = _barycentric(x, w, p, (us - lo) / half - 1.0)
-        base = np.exp(1j * omega * lo)
-        out[first:last] = carry + base * (pu * np.exp(1j * omega * (us - lo))[:, None] - p[0])
-        carry = carry + base * (p[-1] * np.exp(2j * omega * half) - p[0])
+        y = (us - lo) / half - 1.0
+        for i, omega in enumerate(omegas):
+            p = np.linalg.lstsq(diff / half + 1j * omega * eye, hv)[0]
+            pu = _barycentric(x, w, p, y)
+            base = np.exp(1j * omega * lo)
+            out[i, first:last] = carry[i] + base * (
+                pu * np.exp(1j * omega * (us - lo))[:, None] - p[0])
+            carry[i] = carry[i] + base * (p[-1] * np.exp(2j * omega * half) - p[0])
         first = last
     if unconverged:
         lo = min(pan[0] for pan in unconverged)
         hi = max(pan[1] for pan in unconverged)
+        # stacklevel 3: the caller of amplitudes, element or f_integral
         warnings.warn(f"F integrals: {len(unconverged)} panel(s) in t in "
                       f"[{s_of(lo)!r}, {s_of(hi)!r}] reached max_depth="
                       f"{_LEVIN_MAX_DEPTH} above their error tolerance",
-                      UserWarning, stacklevel=2)
+                      UserWarning, stacklevel=3)
     return out
 
 
@@ -265,7 +264,7 @@ def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
     if k not in (1, 2, 3, 4, 5):
         raise ValueError("f_integral index must be 1..5")
     _check_span(spec, t)
-    return complex(_f_values(pair, spec, [t], abs_tol)[0, k - 1])
+    return complex(_f_values([_omega(pair, spec)], spec, [t], abs_tol)[0, 0, k - 1])
 
 
 def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
@@ -299,7 +298,7 @@ def element(pair: ModePair, spec: DomainSpec, t: float) -> ElementBreakdown:
     _check_span(spec, t)
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
-    fvals = _f_values(pair, spec, [t], 1e-10)
+    fvals = _f_values([_omega(pair, spec)], spec, [t], 1e-10)[0]
     wvals = _w_values(pair, spec, RADIAL_QUAD_POINTS)
     h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, wvals))
     return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals[0])),
@@ -327,36 +326,33 @@ class AmplitudeTable:
         return tot
 
 
-def _amplitude_row(initial, target, spec, times, w_points, f_tol):
-    pair = ModePair(source=initial, target=target)
-    delta = 1.0 if target == initial else 0.0
-    if not pair.allowed:
-        return np.full(len(times), delta, dtype=complex)
-    fvals = _f_values(pair, spec, times, f_tol)
-    wvals = _w_values(pair, spec, w_points)
-    return delta - 1j / spec.hbar * sum(_assemble(pair, spec, fvals, wvals))
-
-
 def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times,
                w_points: int = RADIAL_QUAD_POINTS,
                f_tol: float = 1e-10) -> AmplitudeTable:
     """First-order TDPT amplitudes from `initial` to each target mode.
 
     a_sigma(t) = delta_{sigma,initial} - (i/hbar) * element(sigma <- initial, t);
-    the five time integrals per pair come at every grid time from one Levin
-    collocation pass (see _f_values).  When the leakage into the given
-    targets exceeds REGIME_LIMIT the table's ``regime_ok`` is False and one
-    UserWarning says so; targets not asked for do not count.
+    the five time integrals of every allowed target come at every grid time
+    from one Levin collocation pass (see _f_values).  When the leakage into
+    the given targets exceeds REGIME_LIMIT the table's ``regime_ok`` is False
+    and one UserWarning says so; targets not asked for do not count.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty strictly increasing grid")
-    if times[0] < 0:
-        raise ValueError("times must be nonnegative")
-    _check_span(spec, times[-1])
+    _check_span(spec, times)
+    pairs = [ModePair(source=initial, target=tg) for tg in dict.fromkeys(targets)]
+    allowed = [p for p in pairs if p.allowed]
+    fvals = iter(_f_values([_omega(p, spec) for p in allowed], spec, times, f_tol))
     table = AmplitudeTable(times=times, initial=initial)
-    for tg in targets:
-        table.entries[tg] = _amplitude_row(initial, tg, spec, times, w_points, f_tol)
+    for p in pairs:
+        delta = 1.0 if p.target == initial else 0.0
+        if not p.allowed:
+            table.entries[p.target] = np.full(len(times), delta, dtype=complex)
+            continue
+        wvals = _w_values(p, spec, w_points)
+        table.entries[p.target] = delta - 1j / spec.hbar * sum(
+            _assemble(p, spec, next(fvals), wvals))
     leak = table.leakage()
     if leak.max() > REGIME_LIMIT:
         table.regime_ok = False

@@ -62,6 +62,9 @@ def test_radius_negative_lambda_raises():
     spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     with pytest.raises(ValueError, match="lambda"):
         radius(spec, 0.0, -20.0)
+    # the shared time check names the first time outside the box's span
+    with pytest.raises(ValueError, match="t = nan"):
+        radius(spec, 0.0, np.array([1.0, np.nan]))
 
 
 def test_radius_linearized_first_order(deformed_spec):

@@ -196,6 +196,25 @@ def test_mode_built_for_another_radius_rejected(dilating_spec):
                                                                      rel=1e-12)
 
 
+def test_energies_reject_a_time_the_box_does_not_reach():
+    # kappa = -0.1: lambda = 0 at t = 10, where the energies divided by zero,
+    # and -0.2 at t = 12, where they read 72.29 and -72.29; kappa = 0.1 at
+    # t = -20 (lambda = -1) read 2.89 and +0.578
+    shrinking = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=-0.1, gamma=0.5)
+    growing = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, gamma=0.5)
+    mode = sf.mode_make(0, 1, shrinking)
+    state = pg.PantographicState.single(mode)
+    for spec, t in ((shrinking, 10.0), (shrinking, 12.0), (growing, -20.0)):
+        with pytest.raises(ValueError, match="collapses"):
+            pg.mean_energy(state, spec, t)
+        with pytest.raises(ValueError, match="collapses"):
+            pg.energy_rate(state, spec, t)
+    # at t = 5 (lambda = 1/2) the box is shrinking, not collapsed: the
+    # dressing adds to E / lambda^2, and a shrinking wall feeds energy in
+    assert pg.mean_energy(state, shrinking, 5.0) > mode.energy / 0.25
+    assert pg.energy_rate(state, shrinking, 5.0) > 0.0
+
+
 def test_mean_energy_eigenstate(unit_spec):
     mode = sf.mode_make(0, 1, unit_spec)
     st = pg.PantographicState.single(mode)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -272,6 +273,17 @@ def test_collapsing_box_rejected():
         with pytest.raises(ValueError, match="collapses"):
             pt.f_integral(1, p, shrinking, t_end)
     assert pt.element(p, shrinking, 5.0).total != 0j  # still shrinking, not collapsed
+    # a time before the start or a non-finite one is no time of the box
+    # either (t = -1 gave exactly 0j, t = nan a "non-finite F integrand")
+    for bad in (-1.0, math.nan, math.inf):
+        named = re.escape(f"t = {bad!r}")
+        grid = [bad, 0.0] if bad < 0 else [0.0, bad]
+        with pytest.raises(ValueError, match=named):
+            pt.amplitudes(initial, [p.target], shrinking, grid)
+        with pytest.raises(ValueError, match=named):
+            pt.element(p, shrinking, bad)
+        with pytest.raises(ValueError, match=named):
+            pt.f_integral(1, p, shrinking, bad)
 
 
 def test_amplitudes_rejects_bad_grid(spec):
@@ -336,7 +348,7 @@ def test_f_values_match_adaptive_quadrature(kappa, gamma, de, sign, reach):
         sf.mode_make(1, 1, spec), energy=src.energy + sign * de))
     times = t_end * np.array([0.0, 0.3, 0.7, 1.0])
     want = _f_reference(pair, spec, times)
-    got = pt._f_values(pair, spec, times, 1e-12)
+    got = pt._f_values([pt._omega(pair, spec)], spec, times, 1e-12)[0]
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
@@ -370,15 +382,63 @@ def test_kinked_schedule_warns_once_naming_the_span():
     spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, epsilon=0.05,
                       schedule=_KinkSchedule(tau))
     initial = sf.mode_make(0, 1, spec)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = pt.amplitudes(initial, [sf.mode_make(1, 1, spec)], spec,
-                              np.linspace(0.0, 2.0, 9))
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 1 and "max_depth" in messages[0], messages
-    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", messages[0]).groups())
-    assert lo <= tau <= hi and hi - lo < 1e-6
-    assert table.regime_ok
+    family = [sf.mode_make(m, n, spec) for m in (-1, 1) for n in range(1, 5)]
+    pair = pt.ModePair(source=initial, target=family[4])
+    times = np.linspace(0.0, 2.0, 9)
+    # one row, the eight-row m0 +- 1 family (one pass for all rows) and the
+    # single-time entry points: each warns once, pointing at its caller
+    for call in (lambda: pt.amplitudes(initial, [family[4]], spec, times),
+                 lambda: pt.amplitudes(initial, family, spec, times),
+                 lambda: pt.element(pair, spec, 2.0),
+                 lambda: pt.f_integral(1, pair, spec, 2.0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "max_depth" in messages[0], messages
+        assert caught[0].filename == __file__
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", messages[0]).groups())
+        assert lo <= tau <= hi and hi - lo < 1e-6
+        assert getattr(result, "regime_ok", True)
+
+
+def test_one_f_pass_per_call(spec, monkeypatch):
+    initial = sf.mode_make(0, 1, spec)
+    family = [sf.mode_make(m, n, spec) for m in (-1, 1) for n in range(1, 5)]
+    pair = pt.ModePair(source=initial, target=family[0])
+    passes = []
+    f_values = pt._f_values
+    monkeypatch.setattr(pt, "_f_values",
+                        lambda omegas, *rest: passes.append(len(omegas))
+                        or f_values(omegas, *rest))
+    # the diagonal, Delta m = 2 and duplicate targets need no F integrals
+    targets = family + [initial, sf.mode_make(2, 1, spec), family[3]]
+    table = pt.amplitudes(initial, targets, spec, np.linspace(0.0, 20.0, 5))
+    assert passes == [len(family)] and list(table.entries) == family + targets[8:10]
+    pt.element(pair, spec, 2.0)
+    pt.f_integral(3, pair, spec, 2.0)
+    assert passes == [len(family), 1, 1]
+
+
+@given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+       m0=st.integers(-2, 2), n0=st.integers(1, 2), kappa=st.floats(0.01, 0.2),
+       epsilon=st.floats(0.001, 0.03))
+@example(picks=[0, 5, 8, 9, 5], m0=0, n0=1, kappa=0.1, epsilon=0.03)
+def test_each_row_equals_its_target_alone(picks, m0, n0, kappa, epsilon):
+    # the pool: the m0 +- 1 family with n <= 4, the initial mode and a
+    # Delta m = 2 mode, drawn with repeats so that duplicates occur
+    spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=kappa, gamma=5.0 * kappa,
+                      epsilon=epsilon)
+    initial = sf.mode_make(m0, n0, spec)
+    pool = [sf.mode_make(m0 + dm, n, spec) for dm in (-1, 1) for n in range(1, 5)]
+    pool += [initial, sf.mode_make(m0 + 2, n0, spec)]
+    targets = [pool[i] for i in picks]
+    times = np.linspace(0.0, 2.0 / kappa, 7)
+    table = pt.amplitudes(initial, targets, spec, times)
+    assert list(table.entries) == list(dict.fromkeys(targets))
+    for tg in targets:
+        alone = pt.amplitudes(initial, [tg], spec, times).entries[tg]
+        assert np.array_equal(table.entries[tg], alone)
 
 
 def test_non_finite_schedule_rejected():
@@ -407,6 +467,6 @@ def test_populations_start_at_exact_zero(kappa):
 def test_grid_starting_after_zero_matches_f_integral(spec):
     p = pair_of(spec, (1, 2), (0, 1))
     times = np.array([0.7, 3.0, 9.0])
-    got = pt._f_values(p, spec, times, 1e-10)[0]
+    got = pt._f_values([pt._omega(p, spec)], spec, times, 1e-10)[0, 0]
     want = np.array([pt.f_integral(k, p, spec, 0.7) for k in (1, 2, 3, 4, 5)])
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
