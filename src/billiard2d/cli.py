@@ -29,8 +29,6 @@ from .domain import BoundaryFunction, DomainSpec, disk_inner_product
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-TASKS = ("modes", "pantograph", "populations", "energy-rate", "validate")
-
 
 @dataclass
 class RunConfig:
@@ -42,9 +40,6 @@ class RunConfig:
     r0: float = 1.0
     m_max: int = 5
     n_max: int = 8
-    nr: int = 192
-    ntheta: int = 32
-    dt: float = 0.005
     t_end: float | None = None  # resolved to 5 / kappa when omitted
     n_samples: int = 200
     task: str = "populations"
@@ -70,7 +65,7 @@ class RunConfig:
             v = getattr(self, key)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"config key '{key}' must be finite")
-        for key in ("mu", "hbar", "kappa", "gamma", "r0", "dt", "t_end"):
+        for key in ("mu", "hbar", "kappa", "gamma", "r0", "t_end"):
             v = getattr(self, key)
             if v is not None and v <= 0:
                 raise ValueError(f"config key '{key}' must be positive")
@@ -78,7 +73,7 @@ class RunConfig:
             raise ValueError("config key 'epsilon' must be >= 0")
         if self.t_end is not None and self.t_end * self.kappa > 100.0:
             raise ValueError("config key 't_end': t_end * kappa > 100 is out of range")
-        for key in ("m_max", "n_max", "nr", "ntheta", "n_samples"):
+        for key in sorted(_INT_KEYS):
             if getattr(self, key) < 1:
                 raise ValueError(f"config key '{key}' must be a positive integer")
         if self.task not in TASKS:
@@ -94,8 +89,10 @@ class RunConfig:
                           kappa=self.kappa, gamma=self.gamma, epsilon=self.epsilon)
 
 
-_FLOAT_KEYS = {"mu", "hbar", "kappa", "gamma", "epsilon", "r0", "dt", "t_end"}
-_INT_KEYS = {"m_max", "n_max", "nr", "ntheta", "n_samples"}
+# each key's type is declared once, in RunConfig (``from __future__ import
+# annotations`` leaves the annotations as strings)
+_FLOAT_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.type.startswith("float")}
+_INT_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "int"}
 
 
 def _parse_mode(text: str) -> tuple:
@@ -132,7 +129,7 @@ def parse_config(text: str) -> RunConfig:
                 cfg.initial = _parse_mode(value)
             elif key == "targets":
                 cfg.targets = [_parse_mode(p) for p in value.split(";") if p.strip()]
-            elif key in ("out", "output"):
+            elif key == "out":
                 cfg.out = value
             else:
                 raise ValueError(f"unknown key '{key}'")
@@ -154,9 +151,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_sidecar(path: Path, cfg: RunConfig) -> None:
-    payload = dataclasses.asdict(cfg)
-    payload["targets"] = [list(t) for t in cfg.targets]
-    payload["initial"] = list(cfg.initial)
+    payload = dataclasses.asdict(cfg)  # json writes the mode tuples as arrays
     side = path.with_suffix(path.suffix + ".json")
     side.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -170,18 +165,22 @@ def _task_modes(cfg: RunConfig, out: Path) -> None:
     _write_csv(out, ["m", "n", "zero", "k", "E", "A"], rows)
 
 
-def _task_pantograph(cfg: RunConfig, out: Path) -> None:
+def _exact_trace(cfg: RunConfig):
+    """The initial mode's exact pantographic evolution on the sample times:
+    (spec, mode, times, mean energies, contact energy rates)."""
     spec = cfg.domain_spec()
     mode = specfun.mode_make(*cfg.initial, spec)
     state = pantograph.PantographicState.single(mode)
     times = np.linspace(0.0, cfg.t_end, cfg.n_samples)
-    rows = []
-    for t, tr in zip(times, times * cfg.kappa):
-        rows.append((tr,
-                     pantograph.alpha(spec, t),
-                     float(pantograph.beta(mode, spec, t)),
-                     pantograph.mean_energy(state, spec, t),
-                     pantograph.energy_rate(state, spec, t)))
+    energies = np.array([pantograph.mean_energy(state, spec, t) for t in times])
+    rates = np.array([pantograph.energy_rate(state, spec, t) for t in times])
+    return spec, mode, times, energies, rates
+
+
+def _task_pantograph(cfg: RunConfig, out: Path) -> None:
+    spec, mode, times, energies, rates = _exact_trace(cfg)
+    rows = zip(times * cfg.kappa, pantograph.alpha(spec, times),
+               pantograph.beta(mode, spec, times), energies, rates)
     _write_csv(out, ["t", "alpha", "beta", "energy", "energy_rate"], rows)
 
 
@@ -198,17 +197,11 @@ def _task_populations(cfg: RunConfig, out: Path) -> None:
 
 
 def _task_energy_rate(cfg: RunConfig, out: Path) -> None:
-    spec = cfg.domain_spec()
-    mode = specfun.mode_make(*cfg.initial, spec)
-    state = pantograph.PantographicState.single(mode)
     if cfg.n_samples < 3:  # np.gradient(edge_order=2) needs three points
         raise ValueError("config key 'n_samples' must be >= 3 for energy-rate")
-    times = np.linspace(0.0, cfg.t_end, cfg.n_samples)
-    contact = np.array([pantograph.energy_rate(state, spec, t) for t in times])
-    energies = np.array([pantograph.mean_energy(state, spec, t) for t in times])
-    h = times[1] - times[0]
-    fd = np.gradient(energies, h, edge_order=2)
-    rows = list(zip(times * cfg.kappa, energies, contact, fd))
+    _, _, times, energies, contact = _exact_trace(cfg)
+    fd = np.gradient(energies, times[1] - times[0], edge_order=2)
+    rows = zip(times * cfg.kappa, energies, contact, fd)
     _write_csv(out, ["t", "energy", "rate_contact", "rate_fd"], rows)
 
 
@@ -263,24 +256,19 @@ def _task_validate(cfg: RunConfig, out: Path) -> int:
     return status
 
 
+_RUNNERS = {"modes": _task_modes, "pantograph": _task_pantograph,
+            "populations": _task_populations, "energy-rate": _task_energy_rate,
+            "validate": _task_validate}
+TASKS = tuple(_RUNNERS)  # a tuple, as argparse choices and hypothesis want
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured task; returns a process exit status."""
     cfg.validate()
     cfg.resolve()
     out = Path(cfg.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    status = 0
-    if cfg.task == "modes":
-        _task_modes(cfg, out)
-    elif cfg.task == "pantograph":
-        _task_pantograph(cfg, out)
-    elif cfg.task == "populations":
-        _task_populations(cfg, out)
-    elif cfg.task == "energy-rate":
-        _task_energy_rate(cfg, out)
-    elif cfg.task == "validate":
-        status = _task_validate(cfg, out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    status = _RUNNERS[cfg.task](cfg, out) or 0
     _write_sidecar(out, cfg)
     return status
 

@@ -55,6 +55,10 @@ class DomainSpec:
     schedule: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        for name in ("mu", "hbar", "r0", "kappa", "gamma", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu <= 0 or self.hbar <= 0 or self.r0 <= 0:
             raise ValueError("mu, hbar and r0 must be positive")
         if self.epsilon < 0:

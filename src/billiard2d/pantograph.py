@@ -59,6 +59,7 @@ def phi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
 
 def psi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
     """Moving-picture solution; vanishes on the moving wall r = lam(t) r0."""
+    _check_span(spec, t)  # before dividing by lam
     lam = spec.lam(t)
     return phi_exact(mode, spec, np.asarray(r, dtype=float) / lam, theta, t) / lam
 
@@ -95,7 +96,12 @@ class PantographicState:
         return PantographicState(tuple(modes), tuple(amps / norm))
 
     def _angular(self, spec: DomainSpec, theta, t):
-        """(mode, c A e^{i(m theta + beta)} / sqrt(2 pi)) for each mode."""
+        """(mode, c A e^{i(m theta + beta)} / sqrt(2 pi)) for each mode.
+
+        Every field and energy goes through here, so this is where a time the
+        box does not reach is rejected (see _check_span).
+        """
+        _check_span(spec, t)
         theta = np.asarray(theta, dtype=float)
         pref = (2.0 * math.pi) ** -0.5
         return [(mode, c * pref * mode.norm
@@ -173,7 +179,6 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
     does not belong to spec.r0 or t is not a time of the box.
     """
     _check_modes(state, spec)
-    _check_span(spec, t)
     a = alpha(spec, t)
     by_m = {}
     for mode, b in state._angular(spec, 0.0, t):

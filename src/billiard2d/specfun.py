@@ -118,7 +118,10 @@ def bessel_zero(m: int, n: int) -> float:
         raise ValueError("bessel_zero requires m >= 0 and n >= 1")
     from scipy.special import jn_zeros
 
-    return float(jn_zeros(m, n)[-1])
+    zero = float(jn_zeros(m, n)[-1])
+    if not math.isfinite(zero):  # scipy returns nan past the orders it resolves
+        raise ValueError(f"bessel_zero: scipy finds no finite zero for (m, n) = ({m}, {n})")
+    return zero
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,8 +32,10 @@ def test_parse_rejects_negative_epsilon():
 
 
 def test_parse_rejects_unknown_key_with_line_number():
-    with pytest.raises(ValueError, match="line 3"):
-        cli.parse_config("mu = 1.0\n# comment\nbogus = 7\n")
+    # nr, ntheta, dt and the alias output were accepted and read by no task
+    for key in ("bogus", "nr", "ntheta", "dt", "output"):
+        with pytest.raises(ValueError, match=f"^line 3: unknown key '{key}'$"):
+            cli.parse_config(f"mu = 1.0\n# comment\n{key} = 7\n")
 
 
 def test_parse_rejects_out_of_range_t_end():
@@ -187,6 +191,28 @@ def test_main_rejects_nonpositive_t_end(task, t_end, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["nr", "ntheta", "dt", "output"])
+def test_main_rejects_deleted_key(key, tmp_path, capsys):
+    status, out = _main("modes", f"m_max = 1\nn_max = 1\n{key} = 7\n", tmp_path)
+    assert status == 1
+    assert _error_detail(capsys) == f"line 3: unknown key '{key}'"
+    assert not out.exists()
+
+
+def _readme_defaults() -> str:
+    """The 'Keys and defaults' config block of README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    return re.search(r"Keys and defaults.*?```\n(.*?)```", text, re.DOTALL).group(1)
+
+
+def test_readme_defaults_are_the_default_config():
+    block = _readme_defaults()
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cli.RunConfig))
+    assert cli.parse_config(block) == cli.parse_config("")
+
+
 def test_main_energy_rate_writes_n_samples_rows(tmp_path, capsys):
     # fewer than 3 samples leave np.gradient(edge_order=2) nothing to work on
     for n in (1, 2):
@@ -260,11 +286,8 @@ def config_texts(draw):
         "gamma": draw(st.floats(1e-3, 1e3)),
         "epsilon": draw(st.floats(0.0, 0.5)),
         "r0": draw(st.floats(1e-3, 1e3)),
-        "dt": draw(st.floats(1e-6, 1.0)),
         "m_max": draw(st.integers(1, 20)),
         "n_max": draw(st.integers(1, 20)),
-        "nr": draw(st.integers(1, 512)),
-        "ntheta": draw(st.integers(1, 128)),
         "n_samples": draw(st.integers(1, 1000)),
         "task": draw(st.sampled_from(cli.TASKS)),
         "initial": "{} {}".format(draw(st.integers(-9, 9)), draw(st.integers(1, 9))),

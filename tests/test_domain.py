@@ -28,6 +28,15 @@ def test_domain_spec_validation():
         DomainSpec(r0=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["mu", "hbar", "r0", "kappa", "gamma", "epsilon"])
+def test_domain_spec_rejects_non_finite_field(name, value):
+    # epsilon = nan used to give nan populations; r0 = inf, gamma = inf and
+    # kappa = nan failed later with messages about J, F or t
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        DomainSpec(**{name: value})
+
+
 def test_schedule_limits(deformed_spec):
     assert deformed_spec.g(0.0) == 0.0
     ts = np.linspace(0, 30, 50)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,23 @@ def test_energies_reject_a_time_the_box_does_not_reach():
     # dressing adds to E / lambda^2, and a shrinking wall feeds energy in
     assert pg.mean_energy(state, shrinking, 5.0) > mode.energy / 0.25
     assert pg.energy_rate(state, shrinking, 5.0) > 0.0
+
+
+def test_exact_solutions_reject_a_time_the_box_does_not_reach(dilating_spec, monkeypatch):
+    # kappa = 0.1: t = -20 (lambda = -1) read 0.303-1.027j, and t = -10
+    # (lambda = 0) nan+nanj after two RuntimeWarnings
+    mode = sf.mode_make(0, 1, dilating_spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-20.0, -10.0):
+            for solution in (pg.phi_exact, pg.psi_exact):
+                with pytest.raises(ValueError, match="collapses"):
+                    solution(mode, dilating_spec, 0.1, 0.0, t)
+    # inside the span the check changes no bit
+    got = [f(mode, dilating_spec, 0.1, 0.3, 5.0) for f in (pg.phi_exact, pg.psi_exact)]
+    monkeypatch.setattr(pg, "_check_span", lambda spec, t: None)
+    want = [f(mode, dilating_spec, 0.1, 0.3, 5.0) for f in (pg.phi_exact, pg.psi_exact)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_mean_energy_eigenstate(unit_spec):

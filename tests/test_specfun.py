@@ -90,6 +90,14 @@ def test_bessel_zero_rejects_bad_index():
         sf.bessel_zero(-1, 1)
 
 
+def test_mode_beyond_scipy_zero_range_raises_every_time(unit_spec):
+    # jn_zeros(5000, 1) is nan; the failure is not cached, so it raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\(5000, 1\)"):
+            sf.mode_make(5000, 1, unit_spec)
+    assert sf.bessel_zero(4000, 1) == pytest.approx(4029.52339, rel=1e-9)
+
+
 def test_package_import_loads_no_scipy():
     # bessel_zero imports scipy.special lazily; keep `import billiard2d` lean
     src = Path(sf.__file__).resolve().parents[1]
