@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from billiard2d import pantograph as pg
 from billiard2d import perturbation as pt
 from billiard2d import specfun as sf
 from billiard2d.domain import BoundaryFunction, DomainSpec, to_moving
+from test_cli import _fresh_python
 from test_perturbation import _NanSchedule
 
 
@@ -256,6 +259,42 @@ def test_propagate_max_iter_caps_operator_applications(deformed_spec, monkeypatc
     assert len(calls) <= 5 + 3
 
 
+def test_propagate_stall_names_time_iterations_and_residual(deformed_spec):
+    mode = sf.mode_make(0, 1, deformed_spec)
+    psi0 = sample_mode(mode, deformed_spec, 0.0, 32, 16)
+    with pytest.raises(RuntimeError, match=r"t = 2\.5 did not converge \(GMRES inner "
+                       r"iterations: 1, relative residual: \d\.\d{3}e-\d\d, rtol: 1e-14\)"):
+        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
+                         5.0, 5.0, rtol=1e-14, max_iter=1)
+
+
+def test_deformed_step_through_a_gmres_restart_matches_a_dense_solve(deformed_spec,
+                                                                     monkeypatch):
+    # at epsilon = 0.3 this step needs more than one GMRES cycle of 20
+    spec = dataclasses.replace(deformed_spec, epsilon=0.3)
+    nr, ntheta, t, h = 24, 16, 6.0, 0.01
+    fac = deformed_factory(spec, nr, ntheta)
+    rng = np.random.default_rng(11)
+    psi0 = oracle.GridWavefunction(rng.standard_normal((nr, ntheta))
+                                   + 1j * rng.standard_normal((nr, ntheta)), spec.r0, t)
+    # dense I +- (i h / 2 hbar) H_eff on the interior spectrum, column by column
+    op = fac(t + 0.5 * h)
+    scale = 1j * h / (2.0 * spec.hbar)
+    n = (nr - 1) * ntheta
+    heff = np.stack([op.apply(e.reshape(nr - 1, ntheta)).ravel() for e in np.eye(n)],
+                    axis=1)
+    x = np.fft.fft(psi0.values[:-1], axis=1).ravel()
+    want = np.linalg.solve(np.eye(n) + scale * heff, x - scale * (heff @ x))
+    calls = []
+    apply = oracle.EffectiveOperator.apply
+    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
+                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+    got = np.fft.fft(oracle.propagate(fac, psi0, t + h, h, rtol=1e-14).values[:-1],
+                     axis=1).ravel()
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert len(calls) > 23  # right-hand side, first residual, 20 iterations, restart
+
+
 def _no_gmres(*args, **kwargs):
     raise AssertionError("gmres called for a theta-constant operator")
 
@@ -267,7 +306,7 @@ def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch)
     apply = oracle.EffectiveOperator.apply
     monkeypatch.setattr(oracle.EffectiveOperator, "apply",
                         lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
-    monkeypatch.setattr(oracle, "gmres", _no_gmres)
+    monkeypatch.setattr(oracle, "_gmres", _no_gmres)
     psi0 = sample_mode(sf.mode_make(1, 1, dilating_spec), dilating_spec, 0.0, 32, 16)
     oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, 0.5, 0.01)
     assert len(calls) == 50
@@ -286,8 +325,48 @@ def test_h3_only_where_the_boundary_varies(ntheta, kappa, epsilon, t):
     assert len(deformed_factory(ellipse, 16, ntheta)(t).terms) == 8
     # one CN step of the circle is a block solve
     psi = sample_mode(sf.mode_make(1, 1, circle), circle, t, 16, ntheta)
-    with mock.patch.object(oracle, "gmres", _no_gmres):
+    with mock.patch.object(oracle, "_gmres", _no_gmres):
         oracle.propagate(deformed_factory(circle, 16, ntheta), psi, t + 0.01, 0.01)
+
+
+THREAD_CPU_PROBE = """
+import json, os, sys
+from billiard2d import oracle, pantograph, specfun
+from billiard2d.domain import BoundaryFunction, DomainSpec
+
+def cpu():  # (main thread, all other threads) CPU seconds, from /proc
+    tick, main, rest = os.sysconf("SC_CLK_TCK"), 0.0, 0.0
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        used = (int(fields[11]) + int(fields[12])) / tick
+        main, rest = (main + used, rest) if int(tid) == os.getpid() else (main, rest + used)
+    return main, rest
+
+spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.05)
+bnd = BoundaryFunction.deformed_from(spec)
+mode = specfun.mode_make(0, 1, spec)
+growth = []
+for nr in (192, 384):
+    psi = oracle.grid_from_sampler(
+        lambda r, th: pantograph.phi_exact(mode, spec, r, th, 0.0), spec.r0, nr, 32)
+    before = cpu()
+    oracle.propagate(lambda t: oracle.effective_operator(bnd, spec, t, nr, 32),
+                     psi, 0.1, 0.005)
+    growth.append([a - b for a, b in zip(cpu(), before)])
+print(json.dumps([growth, sorted(m for m in sys.modules if m.startswith("scipy.sparse"))]))
+"""
+
+
+@pytest.mark.skipif(not os.access("/proc/self/task", os.R_OK) or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least two cores")
+def test_deformed_cn_wakes_no_blas_thread():
+    # numpy's default OpenBLAS threads; 20 CN steps per grid size, where a
+    # BLAS dot or gemv on the (nr - 1) x 32 spectra would run threaded
+    growth, sparse = json.loads(_fresh_python(THREAD_CPU_PROBE))
+    for main, workers in growth:
+        assert workers <= 0.05 * main, growth
+    assert sparse == []
 
 
 def test_non_finite_boundary_raises_naming_the_time():
