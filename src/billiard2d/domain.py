@@ -122,16 +122,17 @@ def radius_linearized(spec: DomainSpec, theta, t):
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Evaluator bundle for R(theta, t) and its time derivative."""
+    """The boundary ratio R(theta, t) of the ellipse ``spec`` describes."""
 
-    value: Callable
-    dt: Callable
+    spec: DomainSpec
+
+    def value(self, theta, t):
+        return radius(self.spec, theta, t)
 
     @staticmethod
     def pantographic_from(spec: DomainSpec) -> "BoundaryFunction":
         """R = lam: the eps = 0 ellipse, its schedule reset so no NaN g enters."""
-        return BoundaryFunction.deformed_from(
-            replace(spec, epsilon=0.0, gamma=0.0, schedule=None))
+        return BoundaryFunction(replace(spec, epsilon=0.0, gamma=0.0, schedule=None))
 
     @staticmethod
     def deformed_from(spec: DomainSpec) -> "BoundaryFunction":
@@ -141,18 +142,7 @@ class BoundaryFunction:
         raises past that); whether first-order perturbation theory still
         holds is judged by ``perturbation.amplitudes``, not here.
         """
-
-        def val(theta, t):
-            return radius(spec, theta, t)
-
-        def dtt(theta, t):
-            th = np.asarray(theta, dtype=float)
-            eg = spec.epsilon * spec.g(t)
-            den = 1.0 - eg * np.cos(th)
-            return (spec.lamdot(t) / den
-                    + spec.lam(t) * spec.epsilon * spec.gdot(t) * np.cos(th) / den**2)
-
-        return BoundaryFunction(val, dtt)
+        return BoundaryFunction(spec)
 
 
 def to_fixed(psi: Callable, boundary: BoundaryFunction, t: float) -> Callable:

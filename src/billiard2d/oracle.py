@@ -1,7 +1,7 @@
 """Independent numerical ground truth: a polar-grid Crank-Nicolson
-propagator for the full effective Hamiltonian on the fixed disk (arbitrary
-smooth boundary ratio R(theta, t)), brute-force matrix-element quadrature,
-and finite-difference energy rates.
+propagator for the full effective Hamiltonian on the fixed disk (the ellipse
+R(theta, t) = lam / (1 - eps g cos theta), pantographic at eps = 0),
+brute-force matrix-element quadrature, and finite-difference energy rates.
 
 Grid layout: radial nodes r_j = (j + 1/2) dr with dr = r0 / (nr - 1/2), so
 the first node sits at dr/2 (no coordinate-singularity row) and the last
@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .domain import BoundaryFunction, DomainSpec
+from .domain import BoundaryFunction, DomainSpec, _check_span
 from .pantograph import alpha, beta, phi_exact
 from .specfun import BesselMode, adaptive_quad_vec, radial_profile
 
@@ -35,8 +35,6 @@ __all__ = [
     "project",
     "fd_energy_rate",
     "grid_from_sampler",
-    "write_snapshot",
-    "read_snapshot",
 ]
 
 MIN_GRID = 16
@@ -79,14 +77,60 @@ def _radial_stencils(nr: int, r0: float) -> dict:
     return stencils
 
 
+# Each H1 and H3 term, coefficient x stencil x d_theta^p, as (stencil, p,
+# profiles).  On the ellipse q = 1/R = (1 - a cos theta)/lam, a = eps g, its
+# coefficient is -hbar^2/(2 mu lam^2) sum_k a^k P_k(theta); ``profiles`` has
+# P_0, P_1, P_2 as Fourier coefficients {d: c_d} of e^{i d theta} (' = d_theta).
+_Q2 = ({0: 1.0}, {-1: -1.0, 1: -1.0}, {-2: 0.25, 0: 0.5, 2: 0.25})  # q^2
+_2QQ1 = ({}, {-1: 1j, 1: -1j}, {-2: -0.5j, 2: 0.5j})  # 2 q q'
+_PROFILE_TERMS = (
+    ("lap", 0, _Q2), ("inv_r2", 2, _Q2), ("inv_r2", 1, _2QQ1), ("dr_r", 1, _2QQ1),
+    ("inv_r2", 0, ({}, {-1: 0.5, 1: 0.5}, {-2: -0.25, 0: -0.5, 2: -0.25})),  # q q''
+    ("dr_r", 0, ({}, {-1: 0.5, 1: 0.5}, {-2: -0.75, 0: 0.5, 2: -0.75})),  # 2 q'^2 + q q''
+    ("drr", 0, ({}, {}, {-2: -0.25, 0: 0.5, 2: -0.25})),  # q'^2
+)
+
+
 @lru_cache(maxsize=32)
-def _spectral_multipliers(ntheta: int) -> np.ndarray:
-    """Read-only (i m)^p, p = 0, 1, 2, in FFT order; no Nyquist in p = 1."""
+def _fourier_table(nr: int, ntheta: int, r0: float) -> dict:
+    """H1 + H3 of the ellipse per profile, in the angular Fourier basis.
+
+    Entry (k, d) sums over the terms c_d of P_k times the stencil times
+    (i m)^p of the source mode m (no Nyquist in p = 1): it takes m to m + d
+    and is stored at row m + d; the Laplacian's Delta m = 0 part is left out.
+    Entries "lap" and "dil" are those stencils for every m.  Each is a
+    read-only flat m-major (lower, diag, upper) stack, (3, ntheta (nr - 1)),
+    as zgttrf takes it: the parity ghost (r_0, theta + pi) is folded into
+    row 0's diagonal as (-1)^m, and the joints between wavenumbers are zero.
+    """
+    ni = nr - 1
+    stencils = _radial_stencils(nr, r0)
     m = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
-    mult = np.array([np.ones(ntheta), 1j * m, -(m**2)])
-    mult[1, ntheta // 2] = 0.0
-    mult.setflags(write=False)
-    return mult
+    mult = (np.ones(ntheta), 1j * np.where(m == -ntheta // 2, 0.0, m), -(m**2))
+    parity = (-1.0) ** np.arange(ntheta)
+
+    def m_major(name, w):  # the stencil times w[m], source-indexed
+        lower, diag, upper = (w[:, None] * band[:ni] for band in stencils[name])
+        diag[:, 0] += lower[:, 0] * parity
+        lower[:, 0], upper[:, -1] = 0.0, 0.0
+        return np.array([lower, diag, upper], dtype=complex).reshape(3, -1)
+
+    table = {name: m_major(name, np.ones(ntheta)) for name in ("dil", "lap")}
+    for name, p, profiles in _PROFILE_TERMS:
+        for k, profile in enumerate(profiles):
+            for d, c in profile.items():
+                if name != "lap" or d != 0:
+                    bands = np.roll(m_major(name, c * mult[p]), d * ni, axis=1)
+                    table[k, d] = table.get((k, d), 0.0) + bands
+    for bands in table.values():
+        bands.setflags(write=False)
+    return table
+
+
+def _add_offdiag(out: np.ndarray, bands: np.ndarray, x: np.ndarray) -> None:
+    """out += lower and upper of flat m-major ``bands`` times x (joints are zero)."""
+    out[:-1] += bands[2, :-1] * x[1:]
+    out[1:] += bands[0, 1:] * x[:-1]
 
 
 @dataclass
@@ -144,122 +188,118 @@ def grid_from_sampler(sampler, r0: float, nr: int, ntheta: int,
     return g
 
 
-@dataclass
+@dataclass(eq=False)
 class EffectiveOperator:
-    """H1 + H2 + H3 at one time as a list of stencil terms.
+    """H1 + H2 + H3 at one time, in the angular Fourier basis.
 
     H1 = -hbar^2/(2 mu R^2) lap,  H2 = i hbar (Rdot/R)(1 + r d_r),  and H3
-    carries the five deformation terms built from q = 1/R and its theta
-    derivatives.  When q is the same at every theta node H3 is left out of
-    ``terms`` and the operator is its block-diagonal :meth:`mean_blocks`.
+    the five deformation terms of q = 1/R.  On the ellipse each H1 and H3
+    coefficient is sum_k scales[k] P_k(theta), so the grid's one
+    :func:`_fourier_table` is combined, once per operator, with ``scales``
+    and ``dil`` = i hbar Rdot/R (a number, or its theta-node samples) into
+    the Fourier blocks (every Delta m = 0 part, dil's mean included), the
+    Delta m = +-1, +-2 bands (none if scales[1] = scales[2] = 0) and dil's rest.
     """
 
     nr: int
     ntheta: int
     r0: float
     hbar: float
-    terms: list  # (coefficient(theta), radial stencil, p): acts on d_theta^p
+    scales: tuple  # -hbar^2/(2 mu lam^2) (1, eps g, (eps g)^2)
+    dil: complex | np.ndarray
+
+    def __post_init__(self):
+        table = _fourier_table(self.nr, self.ntheta, self.r0)
+        s0, s1, s2 = self.scales
+        dil = np.asarray(self.dil, dtype=complex)
+        mean = dil.mean()
+        blocks = s0 * table[0, 0]
+        if s2:
+            blocks += s2 * table[2, 0]
+        # the Laplacian is scaled alone: its diagonal and off-diagonals cancel
+        # to ~1e-4 of their size, so rounding their sum first drifts phases
+        lap = sum(s * profile.get(0, 0.0) for s, profile in zip(self.scales, _Q2))
+        ni = self.nr - 1
+        blocks.reshape(3, self.ntheta, ni)[...] += (
+            lap * table["lap"][:, None, :ni] + mean * table["dil"][:, None, :ni])
+        blocks.setflags(write=False)
+        self._blocks = blocks
+        self._couplings = [(s, [(d, table[k, d]) for d in (-k, k)])
+                           for k, s in ((1, s1), (2, s2)) if s]
+        self._rest = ((dil - mean)[:, None], table["dil"]) if dil.ndim else None
+        # no Delta m coupling and no dil rest: the blocks are the operator
+        self.theta_constant = not self._couplings and self._rest is None
 
     def radii(self) -> np.ndarray:
         return _grid_radii(self.nr, self.r0)
-
-    @cached_property
-    def _split(self):
-        """(blocks, rest) of the terms on the interior rows.
-
-        Each coefficient c(theta) splits into cbar, c[0] if c is exactly
-        constant and its mean otherwise, and c - cbar.  ``blocks`` is
-        :meth:`mean_blocks` from the cbar; ``rest`` is None if every c is
-        constant, else (ps, bands): the real-space (lower, diag, upper) of
-        the c - cbar summed per derivative order p in ``ps``.
-        """
-        ni, nth = self.nr - 1, self.ntheta
-        stencils = _radial_stencils(self.nr, self.r0)
-        coeffs = np.array([c for c, _, _ in self.terms], dtype=complex).reshape(-1, nth)
-        const = (coeffs == coeffs[:, :1]).all(axis=1)
-        cbar = np.where(const, coeffs[:, 0], coeffs.mean(axis=1))
-        ps = np.array([p for *_, p in self.terms], dtype=int)
-        # (3 (nr - 1), terms), real: every band of every stencil, one column a term
-        radial = np.array([stencils[name] for _, name, _ in self.terms]).reshape(
-            -1, 3, self.nr)[:, :, :ni].reshape(-1, 3 * ni).T
-
-        def summed(cols, fields):  # sum of stencil x field over the terms in cols
-            # a real matmul on (re, im) pairs: a complex one cost ~1 ms on 2 cores
-            return (radial[:, cols] @ fields.view(float)).view(complex).reshape(3, ni, nth)
-
-        blocks = summed(slice(None), cbar[:, None] * _spectral_multipliers(nth)[ps])
-        # the ghost (r_0, theta + pi) is a half-turn roll: (-1)^m per wavenumber
-        blocks[1, 0] += blocks[0, 0] * (-1.0) ** np.arange(nth)
-        blocks[0, 0] = 0.0
-        blocks.setflags(write=False)
-        rest = coeffs - cbar[:, None]
-        varying = sorted(set(ps[~const].tolist()))
-        return blocks, (varying, np.stack(
-            [summed(ps == p, rest[ps == p]) for p in varying], axis=1)) if varying else None
 
     def apply(self, xhat: np.ndarray) -> np.ndarray:
         """H_eff applied to xhat = fft(v[:-1], axis=1), the angular spectrum
         of a grid field's interior rows, (nr - 1, ntheta): the form
         :func:`propagate` carries.  Grid fields go through :func:`apply_heff`.
+        The blocks act per wavenumber, the Delta m bands on the spectrum
+        rolled by Delta m, and dil's rest through one inverse/forward FFT pair.
         """
         if xhat.shape != (self.nr - 1, self.ntheta):
             raise ValueError(
                 f"apply takes the ({self.nr - 1}, {self.ntheta}) angular spectrum of the "
                 f"interior rows, got {xhat.shape}; apply_heff takes ({self.nr}, "
                 f"{self.ntheta}) grid fields")
-        (lower, diag, upper), rest = self._split
-        out = diag * xhat
-        out[:-1] += upper[:-1] * xhat[1:]
-        out[1:] += lower[1:] * xhat[:-1]
-        if rest is not None:
-            ps, (lower, diag, upper) = rest
-            w = np.fft.ifft(xhat * _spectral_multipliers(self.ntheta)[ps, None, :], axis=-1)
-            acc = (diag * w).sum(axis=0)
-            acc[:-1] += (upper[:, :-1] * w[:, 1:]).sum(axis=0)
-            acc[1:] += (lower[:, 1:] * w[:, :-1]).sum(axis=0)
-            acc[0] += (lower[:, 0] * np.roll(w[:, 0], self.ntheta // 2, axis=-1)).sum(axis=0)
-            out += np.fft.fft(acc, axis=1)
-        return out
+        x = xhat.T  # m-major, as the bands are stored
+        flat = x.reshape(-1)
+        n, ni = flat.size, self.nr - 1
+        out = self._blocks[1] * flat
+        _add_offdiag(out, self._blocks, flat)
+        if self._couplings:  # wrapped[(m + 2) ni + j] = x[m mod ntheta, j]
+            wrapped = np.concatenate((flat[-2 * ni:], flat, flat[:2 * ni]))
+            for scale, shifts in self._couplings:
+                source = scale * wrapped
+                for d, bands in shifts:
+                    shifted = source[(2 - d) * ni:(2 - d) * ni + n]
+                    out += bands[1] * shifted
+                    _add_offdiag(out, bands, shifted)
+        if self._rest is not None:  # the dilation stencil has no diagonal
+            field, bands = self._rest
+            _add_offdiag(out, bands,
+                         np.fft.fft(field * np.fft.ifft(x, axis=0), axis=0).reshape(-1))
+        return out.reshape(x.shape).T
 
     def mean_blocks(self):
-        """Read-only (lower, diag, upper), each (nr - 1, ntheta) over the
-        interior rows with the Fourier index along axis 1: the theta-constant
-        part of every term times (i m)^p, parity ghost in row 0's diagonal as
-        (-1)^m.  When every coefficient is theta-constant they ARE the operator.
-        """
-        return tuple(self._split[0])
+        """Read-only (lower, diag, upper), each (nr - 1, ntheta), Fourier index
+        along axis 1 (views of m-major arrays): the Delta m = 0 part of every
+        term, parity ghost in row 0's diagonal as (-1)^m.  When
+        ``theta_constant`` they ARE the operator."""
+        return tuple(bands.reshape(self.ntheta, -1).T for bands in self._blocks)
 
 
 def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
                        nr: int, ntheta: int) -> EffectiveOperator:
-    """Assemble the coefficient fields from the exact boundary at time t.
+    """H_eff at time t from lambda, eps g and eps gdot of the boundary's own
+    ellipse (``boundary.spec``) and hbar, mu and r0 of ``spec``.
 
-    H3's five terms enter only if q = 1/R differs between theta nodes (the
-    spectral derivative of a constant q can round to nonzero); its theta
-    derivatives are spectral, exact for the trigonometric-polynomial
-    boundaries here.  ValueError if R or dR/dt is non-finite at a theta node.
+    dil = i hbar (lamdot/lam + eps gdot cos/(1 - eps g cos)) is sampled on
+    the theta nodes only if eps gdot != 0: at eps g = eps gdot = 0 the
+    operator is theta-constant.  ValueError naming t if t is not a time of
+    the box, if eps g or eps gdot is non-finite, or if |eps g| >= 1.
     """
     if nr < MIN_GRID or ntheta < MIN_GRID:
         raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
     if ntheta % 2:
         raise ValueError("ntheta must be even")
-    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    r_ratio, r_dot = boundary.value(theta, t), boundary.dt(theta, t)
-    if not (np.isfinite(r_ratio).all() and np.isfinite(r_dot).all()):
-        raise ValueError(f"non-finite boundary R or dR/dt at t = {t!r}")
-    q = 1.0 / r_ratio
-    pref = -spec.hbar**2 / (2.0 * spec.mu)
-    c_lap = pref * q * q
-    terms = [(c_lap, "lap", 0), (c_lap, "inv_r2", 2),
-             (1j * spec.hbar * (r_dot * q), "dil", 0)]
-    if (q != q[0]).any():
-        qth, qthth = np.fft.ifft(np.fft.fft(q) * _spectral_multipliers(ntheta)[1:]).real
-        c_mixed = pref * 2.0 * q * qth
-        terms += [(pref * q * qthth, "inv_r2", 0),
-                  (pref * (2.0 * qth**2 + q * qthth), "dr_r", 0),
-                  (c_mixed, "inv_r2", 1), (pref * qth**2, "drr", 0),
-                  (c_mixed, "dr_r", 1)]
-    return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, hbar=spec.hbar, terms=terms)
+    ellipse = boundary.spec
+    _check_span(ellipse, t)
+    lam, lamdot = float(ellipse.lam(t)), float(ellipse.lamdot(t))
+    eg, egdot = (ellipse.epsilon * float(f(t)) for f in (ellipse.g, ellipse.gdot))
+    if not (math.isfinite(eg) and math.isfinite(egdot)):
+        raise ValueError(f"non-finite boundary eps g or eps gdot at t = {t!r}")
+    if abs(eg) >= 1.0:
+        raise ValueError(f"boundary not star-shaped at t = {t!r}: |eps g| = {abs(eg)!r} >= 1")
+    q = 1.0 / lam  # q = 1/R where eps g cos(theta) = 0
+    pref = -spec.hbar**2 / (2.0 * spec.mu) * q * q
+    cos = np.cos(np.arange(ntheta) * (2.0 * math.pi / ntheta)) if egdot else 0.0
+    dil = 1j * spec.hbar * (lamdot * q + egdot * cos / (1.0 - eg * cos))
+    return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, hbar=spec.hbar,
+                             scales=(pref, pref * eg, pref * eg * eg), dil=dil)
 
 
 def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction:
@@ -274,33 +314,26 @@ def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction
 
 
 class _BlockFactor:
-    """LU factorization of (I + scale * T_m) for every Fourier block at once.
-
-    The independent tridiagonal blocks are stacked into one big tridiagonal
-    system (couplings at block joints zeroed) and factored once per time
-    step; solves against many right-hand sides reuse the factorization.
+    """LU factorization of (I + scale * T_m) for every Fourier block at once:
+    the blocks of :meth:`EffectiveOperator.mean_blocks`, flattened m-major (no
+    copy; their joints are zero), are one tridiagonal system.  ``solve`` takes
+    and returns m-major (ntheta, nr - 1) spectra and reuses the factorization.
     """
 
     def __init__(self, lower, diag, upper, scale: complex):
-        ni, nth = diag.shape
-        self.ni, self.nth = ni, nth
-        n = ni * nth
-        d = 1.0 + scale * diag.T.reshape(n)
-        du = (scale * upper).T.reshape(n)[:-1].copy()
-        dl = (scale * lower).T.reshape(n)[1:].copy()
-        joints = np.arange(1, nth) * ni
-        du[joints - 1] = 0.0
-        dl[joints - 1] = 0.0
-        dl_f, d_f, du_f, du2, ipiv, info = lapack.zgttrf(dl, d, du)
+        self.shape = diag.shape[::-1]
+        dl, d, du = ((scale * band).T.reshape(-1) for band in (lower, diag, upper))
+        d += 1.0
+        dl_f, d_f, du_f, du2, ipiv, info = lapack.zgttrf(dl[1:], d, du[:-1])
         if info != 0:
             raise RuntimeError(f"tridiagonal factorization failed (info={info})")
         self._fact = (dl_f, d_f, du_f, du2, ipiv)
 
-    def solve(self, rhs_hat: np.ndarray) -> np.ndarray:
-        x, info = lapack.zgttrs(*self._fact, rhs_hat.T.reshape(self.ni * self.nth))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack.zgttrs(*self._fact, rhs.reshape(-1))
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x.reshape(self.nth, self.ni).T
+        return x.reshape(self.shape)
 
 
 _RESTART = 20  # inner iterations per GMRES cycle
@@ -402,27 +435,30 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
 def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
               rtol: float = 1e-11, max_iter: int = 60) -> GridWavefunction:
     """Crank-Nicolson propagation from psi0.time to t1 (not before it; dt
-    finite and > 0, else ValueError).
+    finite and > 0, rtol finite and > 0 and max_iter an int >= 1, else
+    ValueError before any step).
 
-    The state is carried as the angular spectrum of its interior rows; the
-    operator is frozen at the half-step time.  Its theta-constant part, the
-    cached :meth:`EffectiveOperator.mean_blocks`, is factored once per step.
-    An operator without theta-varying rest (pantographic) is its blocks, and
-    the step is one block solve with no FFT.  Otherwise each application
-    costs one inverse and one forward FFT, and restarted GMRES (cycles of 20)
-    preconditioned by the blocks, started from the block solve and then from
-    2 x_n - x_{n-1}, iterates until the true residual is within ``rtol`` of
-    the right-hand side, in at most ``max_iter`` inner iterations in all
-    (these two govern only such operators).  Its reductions are ufunc sums,
-    so a step makes no threaded BLAS call.  RuntimeError naming the
-    half-step time, the iterations and the residual reached if that does not
-    converge (dt too large).
+    The state is carried m-major as the angular spectrum of its interior
+    rows.  Each step builds the operator at the half-step time (the grid's one
+    table combined with that time's scalars) and factors its blocks.  A
+    theta-constant operator (pantographic) is its blocks: the step is one
+    block solve, with no FFT.  Otherwise an application adds the Delta m bands
+    and, while eps gdot != 0, one FFT pair for dil's rest, and restarted GMRES
+    (cycles of 20) preconditioned by the blocks, started from the block solve
+    and then from 2 x_n - x_{n-1}, iterates until the true residual is within
+    ``rtol`` of the right-hand side, in at most ``max_iter`` inner iterations.
+    Its reductions are ufunc sums: no threaded BLAS call.  RuntimeError naming
+    the half-step time, the iterations and the residual if it does not converge.
 
     The pantographic operator is Hermitian under the grid weights r_j, so
     the step conserves the grid norm to round-off.  The H3 stencil of a
     deformed boundary is not, so there the norm drifts: slowly for smooth
     states, faster for rough ones.
     """
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be finite and > 0, got {rtol!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not t1 >= psi0.time:
@@ -433,20 +469,20 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
     nsteps = max(1, round(total / dt))
     h = total / nsteps
     t = psi0.time
-    x = np.fft.fft(psi0.values[:-1], axis=1)
+    x = np.fft.fft(psi0.values[:-1].T, axis=0)  # (ntheta, nr - 1)
     prev = None
     for _ in range(nsteps):
         t_half = t + 0.5 * h
         op = op_factory(t_half)
         scale = 1j * h / (2.0 * op.hbar)
         factor = _BlockFactor(*op.mean_blocks(), scale)
-        b = x - scale * op.apply(x)
-        if op._split[1] is None:
+        b = x - scale * op.apply(x.T).T
+        if op.theta_constant:
             step = factor.solve(b)
         else:
             start = factor.solve(b) if prev is None else 2.0 * x - prev
-            step, inner, resid = _gmres(lambda f: f + scale * op.apply(f), factor.solve,
-                                        b, start, rtol, max_iter)
+            step, inner, resid = _gmres(lambda f: f + scale * op.apply(f.T).T,
+                                        factor.solve, b, start, rtol, max_iter)
             if not resid <= rtol:
                 raise RuntimeError(
                     f"Crank-Nicolson step at t = {t_half!r} did not converge (GMRES inner "
@@ -455,7 +491,7 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
         prev, x = x, step
         t += h
     values = np.zeros(psi0.values.shape, dtype=complex)
-    values[:-1] = np.fft.ifft(x, axis=1)
+    values[:-1] = np.fft.ifft(x, axis=0).T
     return GridWavefunction(values, psi0.r0, t)
 
 
@@ -542,32 +578,6 @@ def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,
     """
     ref = phi_exact(mode, spec, psi.radii()[:, None], psi.thetas()[None, :], t)
     return GridWavefunction(np.broadcast_to(ref, psi.values.shape), psi.r0, t).inner(psi)
-
-
-def write_snapshot(psi: GridWavefunction, path) -> None:
-    """Line-oriented text dump: header ``nr ntheta t``, one value per line.
-
-    Values are written row-major (theta fastest) as ``re im`` pairs; the
-    format is binary-free so snapshots diff cleanly.  The disk radius is not
-    part of the header and must be supplied again on read.
-    """
-    lines = [f"{psi.nr} {psi.ntheta} {float(psi.time)!r}"]
-    flat = psi.values.ravel()
-    lines.extend(f"{float(v.real)!r} {float(v.imag)!r}" for v in flat)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_snapshot(path, r0: float = 1.0) -> GridWavefunction:
-    """Inverse of :func:`write_snapshot`."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        nr, ntheta, t = int(header[0]), int(header[1]), float(header[2])
-        vals = np.loadtxt(fh, dtype=float)
-    if vals.shape != (nr * ntheta, 2):
-        raise ValueError("snapshot payload does not match its header")
-    field = (vals[:, 0] + 1j * vals[:, 1]).reshape(nr, ntheta)
-    return GridWavefunction(field, r0, t)
 
 
 def _h1_mean_energy(psi: GridWavefunction, spec: DomainSpec) -> float:

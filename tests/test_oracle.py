@@ -13,7 +13,7 @@ from billiard2d import oracle
 from billiard2d import pantograph as pg
 from billiard2d import perturbation as pt
 from billiard2d import specfun as sf
-from billiard2d.domain import BoundaryFunction, DomainSpec, to_moving
+from billiard2d.domain import BoundaryFunction, DomainSpec, radius, to_moving
 from test_cli import _fresh_python
 from test_perturbation import _NanSchedule
 
@@ -83,18 +83,19 @@ def test_apply_heff_rejects_coarse_grid(unit_spec):
 
 def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
     op = pantographic_factory(dilating_spec, 64, 16)(3.0)
-    # H1 (lap and the d_theta^2 / r^2 part) and H2 (dil) only: no H3 term
-    assert [(name, p) for _, name, p in op.terms] == [("lap", 0), ("inv_r2", 2), ("dil", 0)]
+    # H1 (profile 0: lap and the d_theta^2 / r^2 part) and a constant H2
+    # (dil) only: no H3 profile, no Delta m coupling and no rest
+    assert op.scales[1:] == (0.0, 0.0) and np.ndim(op.dil) == 0 and op.theta_constant
     rng = np.random.default_rng(0)
     psi = oracle.GridWavefunction(
         rng.normal(size=(64, 16)) + 1j * rng.normal(size=(64, 16)), 1.0, 3.0)
-    # circle through the deformed constructor (epsilon = 0): q is constant,
-    # so it builds the same three terms, array for array
+    # circle through the deformed constructor (epsilon = 0): eps g = 0, so it
+    # builds the same scalars and the same blocks, array for array
     circ = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     opc = deformed_factory(circ, 64, 16)(3.0)
-    assert len(opc.terms) == len(op.terms)
-    for (cc, cname, cp), (c, name, p) in zip(opc.terms, op.terms):
-        assert (cname, cp) == (name, p) and np.array_equal(cc, c)
+    assert opc.scales == op.scales and opc.dil == op.dil and opc.theta_constant
+    for cb, b in zip(opc.mean_blocks(), op.mean_blocks()):
+        assert np.array_equal(cb, b)
     diff = oracle.apply_heff(opc, psi).values - oracle.apply_heff(op, psi).values
     assert np.max(np.abs(diff)) < 1e-12
 
@@ -314,15 +315,17 @@ def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch)
 
 @given(ntheta=st.integers(8, 32).map(lambda k: 2 * k), kappa=st.floats(0.01, 0.3),
        epsilon=st.floats(0.01, 0.3), t=st.floats(0.1, 5.0))
-@example(ntheta=20, kappa=0.1, epsilon=0.05, t=1.0)  # FFT of a constant q rounds here
+@example(ntheta=20, kappa=0.1, epsilon=0.05, t=1.0)
 def test_h3_only_where_the_boundary_varies(ntheta, kappa, epsilon, t):
     circle = DomainSpec(kappa=kappa, gamma=5.0 * kappa)
     op = deformed_factory(circle, 16, ntheta)(t)
     panto = pantographic_factory(circle, 16, ntheta)(t)
-    assert [(name, p) for _, name, p in op.terms] == [("lap", 0), ("inv_r2", 2), ("dil", 0)]
-    assert all(np.array_equal(c, cp) for (c, _, _), (cp, _, _) in zip(op.terms, panto.terms))
-    ellipse = dataclasses.replace(circle, epsilon=epsilon)
-    assert len(deformed_factory(ellipse, 16, ntheta)(t).terms) == 8
+    assert op.scales[1:] == (0.0, 0.0) and op.theta_constant
+    assert op.scales == panto.scales and op.dil == panto.dil
+    assert all(np.array_equal(b, bp) for b, bp in zip(op.mean_blocks(), panto.mean_blocks()))
+    ellipse = deformed_factory(dataclasses.replace(circle, epsilon=epsilon), 16, ntheta)(t)
+    assert 0.0 not in ellipse.scales and np.shape(ellipse.dil) == (ntheta,)
+    assert not ellipse.theta_constant
     # one CN step of the circle is a block solve
     psi = sample_mode(sf.mode_make(1, 1, circle), circle, t, 16, ntheta)
     with mock.patch.object(oracle, "_gmres", _no_gmres):
@@ -373,21 +376,44 @@ def test_non_finite_boundary_raises_naming_the_time():
     # g is NaN past t = 1; the operator refuses it before any factorization
     spec = DomainSpec(kappa=0.1, epsilon=0.05, schedule=_NanSchedule())
     fac = deformed_factory(spec, 32, 16)
-    assert len(fac(0.5).terms) == 8
+    assert not fac(0.5).theta_constant
     with pytest.raises(ValueError, match=r"non-finite.*t = 1\.5"):
         fac(1.5)
     psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
     with pytest.raises(ValueError, match=r"non-finite.*t = 1\.125"):
         oracle.propagate(fac, psi0, 2.0, 0.25)  # the fifth half-step time
     # the pantographic boundary of the same spec never evaluates the schedule
-    assert len(pantographic_factory(spec, 32, 16)(1.5).terms) == 3
+    assert pantographic_factory(spec, 32, 16)(1.5).theta_constant
+
+
+def test_non_star_shaped_boundary_raises_naming_the_time():
+    # eps g(t) = 1.2 (1 - e^{-t}) passes 1 at t = ln 6 = 1.79
+    spec = DomainSpec(kappa=0.1, gamma=1.0, epsilon=1.2)
+    fac = deformed_factory(spec, 32, 16)
+    assert not fac(1.0).theta_constant
+    with pytest.raises(ValueError, match=r"not star-shaped at t = 2\.5"):
+        fac(2.5)
+
+
+def test_pantographic_boundary_ignores_the_spec_ellipse(deformed_spec, monkeypatch):
+    # the boundary's own ellipse (eps = 0) decides, not the epsilon = 0.05 of
+    # the spec passed with it, as in the CLI's validate task
+    bnd = BoundaryFunction.pantographic_from(deformed_spec)
+    op = oracle.effective_operator(bnd, deformed_spec, 2.0, 32, 16)
+    assert op.theta_constant
+    circle = dataclasses.replace(deformed_spec, epsilon=0.0)
+    assert op.scales == pantographic_factory(circle, 32, 16)(2.0).scales
+    monkeypatch.setattr(oracle, "_gmres", _no_gmres)
+    psi0 = sample_mode(sf.mode_make(0, 1, deformed_spec), deformed_spec, 2.0, 32, 16)
+    oracle.propagate(lambda t: oracle.effective_operator(bnd, deformed_spec, t, 32, 16),
+                     psi0, 2.1, 0.05)
 
 
 def test_collapsing_pantographic_box_raises():
     # lambda(15) = -0.5, whose c_lap would equal that of lambda = +0.5
     spec = DomainSpec(kappa=-0.1)
     bnd = BoundaryFunction.pantographic_from(spec)
-    assert len(oracle.effective_operator(bnd, spec, 5.0, 32, 16).terms) == 3
+    assert oracle.effective_operator(bnd, spec, 5.0, 32, 16).theta_constant
     with pytest.raises(ValueError, match="lambda"):
         oracle.effective_operator(bnd, spec, 15.0, 32, 16)
     psi = to_moving(lambda r, th: r * np.cos(th), bnd, 15.0)
@@ -406,29 +432,110 @@ def test_propagate_rejects_bad_time_arguments(dilating_spec, t1, dt):
     assert same.time == 1.0 and np.array_equal(same.values, psi0.values)
 
 
-def reference_apply(op, v):
+def _never_called(t):
+    raise AssertionError(f"operator built at t = {t}")
+
+
+@pytest.mark.parametrize("max_iter, rtol", [(0, 1e-11), (-3, 1e-11), (0, 1e-30), (2.5, 1e-11),
+                                            (60, math.nan), (60, 0.0),
+                                            (60, -1e-3), (60, math.inf)])
+def test_propagate_rejects_bad_solver_settings(dilating_spec, max_iter, rtol):
+    # checked before any step: the factory is never called, so even the case
+    # that would otherwise never return (max_iter 0, rtol 1e-30) ends here
+    psi0 = sample_mode(sf.mode_make(0, 1, dilating_spec), dilating_spec, 1.0, 32, 16)
+    with pytest.raises(ValueError, match="max_iter" if rtol == 1e-11 or rtol == 1e-30
+                       else "rtol"):
+        oracle.propagate(_never_called, psi0, 1.5, 0.01, rtol=rtol, max_iter=max_iter)
+
+
+def reference_terms(boundary, spec, t, ntheta):
+    """The eight (coefficient(theta), stencil, p) terms of H_eff on the theta
+    nodes, assembled on the grid: R from domain.radius, dR/dt in closed
+    form, and the theta derivatives of q = 1/R by FFT."""
+    ell = boundary.spec
+    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
+    den = 1.0 - ell.epsilon * ell.g(t) * np.cos(theta)
+    r_dot = ell.lamdot(t) / den + ell.lam(t) * ell.epsilon * ell.gdot(t) * np.cos(theta) / den**2
+    q = 1.0 / radius(ell, theta, t)
+    m, qhat = np.fft.fftfreq(ntheta, d=1.0 / ntheta), np.fft.fft(q)
+    qthth = np.fft.ifft(-(m**2) * qhat).real
+    m[ntheta // 2] = 0.0  # no Nyquist in the first derivative
+    qth = np.fft.ifft(1j * m * qhat).real
+    pref = -spec.hbar**2 / (2.0 * spec.mu)
+    c_lap, c_mixed = pref * q * q, pref * 2.0 * q * qth
+    return [(c_lap, "lap", 0), (c_lap, "inv_r2", 2), (1j * spec.hbar * r_dot * q, "dil", 0),
+            (pref * q * qthth, "inv_r2", 0), (pref * (2.0 * qth**2 + q * qthth), "dr_r", 0),
+            (c_mixed, "inv_r2", 1), (pref * qth**2, "drr", 0), (c_mixed, "dr_r", 1)]
+
+
+def scaled_terms(scales, dil, ntheta):
+    """The same eight terms for any scales and dil: each H1 and H3
+    coefficient is sum_k scales[k] times its a^k part for q = 1 - a cos."""
+    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
+    c, s = np.cos(theta), np.sin(theta)
+    s0, s1, s2 = scales
+    q2, qq2, q1q1 = s0 - 2.0 * s1 * c + s2 * c * c, s1 * c - s2 * c * c, s2 * s * s
+    qq1 = 2.0 * s1 * s - 2.0 * s2 * s * c
+    return [(q2, "lap", 0), (q2, "inv_r2", 2), (dil + 0.0 * c, "dil", 0),
+            (qq2, "inv_r2", 0), (2.0 * q1q1 + qq2, "dr_r", 0),
+            (qq1, "inv_r2", 1), (q1q1, "drr", 0), (qq1, "dr_r", 1)]
+
+
+def reference_apply(terms, r0, v):
     """H_eff on grid fields v (..., nr, ntheta), term by term on the grid,
     with the Dirichlet row of the result zeroed."""
-    stencils = oracle._radial_stencils(op.nr, op.r0)
-    mult = oracle._spectral_multipliers(op.ntheta)
+    nr, ntheta = v.shape[-2:]
+    stencils = oracle._radial_stencils(nr, r0)
+    m = np.fft.fftfreq(ntheta, d=1.0 / ntheta)
+    mult = np.array([np.ones(ntheta), 1j * m, -(m**2)])
+    mult[1, ntheta // 2] = 0.0
     out = np.zeros(v.shape, dtype=complex)
-    for coeff, name, p in op.terms:
+    for coeff, name, p in terms:
         w = np.fft.ifft(np.fft.fft(v, axis=-1) * mult[p], axis=-1)
         lower, diag, upper = (band[:, None] * coeff for band in stencils[name])
         out += diag * w
         out[..., :-1, :] += upper[:-1] * w[..., 1:, :]
         out[..., 1:, :] += lower[1:] * w[..., :-1, :]
-        out[..., 0, :] += lower[0] * np.roll(w[..., 0, :], op.ntheta // 2, axis=-1)
+        out[..., 0, :] += lower[0] * np.roll(w[..., 0, :], ntheta // 2, axis=-1)
     out[..., -1, :] = 0.0
     return out
 
 
-def dense_interior(op):
+def dense_interior(terms, nr, ntheta, r0):
     """The reference H_eff on the interior rows, one column per unit vector."""
-    ni = op.nr - 1
-    units = np.zeros((ni * op.ntheta, op.nr, op.ntheta))
-    units[:, :-1, :] = np.eye(ni * op.ntheta).reshape(-1, ni, op.ntheta)
-    return units, reference_apply(op, units)[:, :-1, :].reshape(ni * op.ntheta, -1).T
+    ni = nr - 1
+    units = np.zeros((ni * ntheta, nr, ntheta))
+    units[:, :-1, :] = np.eye(ni * ntheta).reshape(-1, ni, ntheta)
+    return units, reference_apply(terms, r0, units)[:, :-1, :].reshape(ni * ntheta, -1).T
+
+
+class _PulseSchedule:
+    """g(t) = (1 - cos 2t) / 2: gdot vanishes at t = 0 and t = pi / 2."""
+
+    def g(self, t):
+        return 0.5 * (1.0 - np.cos(2.0 * np.asarray(t, dtype=float)))
+
+    def gdot(self, t):
+        return np.sin(2.0 * np.asarray(t, dtype=float))
+
+
+@given(seed=st.integers(0, 2**32 - 1), nr=st.integers(16, 48),
+       ntheta=st.integers(8, 32).map(lambda k: 2 * k), epsilon=st.floats(0.0, 0.45),
+       kappa=st.floats(0.02, 0.3), t=st.floats(0.0, 5.0), pulse=st.booleans())
+@example(seed=1, nr=16, ntheta=16, epsilon=0.3, kappa=0.1, t=0.0, pulse=True)  # eps g = 0
+def test_apply_matches_the_grid_assembly(seed, nr, ntheta, epsilon, kappa, t, pulse):
+    # the table combined with the scalars reproduces the terms assembled
+    # from R on the theta nodes, on a random grid field
+    spec = DomainSpec(kappa=kappa, gamma=5.0 * kappa, epsilon=epsilon,
+                      schedule=_PulseSchedule() if pulse else None)
+    bnd = BoundaryFunction.deformed_from(spec)
+    op = oracle.effective_operator(bnd, spec, t, nr, ntheta)
+    rng = np.random.default_rng(seed)
+    psi = oracle.GridWavefunction(
+        rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta)), spec.r0)
+    got = oracle.apply_heff(op, psi).values
+    want = reference_apply(reference_terms(bnd, spec, t, ntheta), spec.r0, psi.values)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @given(seed=st.integers(0, 2**32 - 1), nr=st.integers(16, 24),
@@ -436,12 +543,14 @@ def dense_interior(op):
        epsilon=st.floats(0.0, 0.3), pantographic=st.booleans(), t=st.floats(0.0, 3.0))
 def test_cn_step_matches_dense_reference(seed, nr, ntheta, kappa, epsilon, pantographic, t):
     spec = DomainSpec(kappa=kappa, gamma=5.0 * kappa, epsilon=epsilon)
+    bnd = (BoundaryFunction.pantographic_from if pantographic
+           else BoundaryFunction.deformed_from)(spec)
     fac = (pantographic_factory if pantographic else deformed_factory)(spec, nr, ntheta)
     h, ni = 0.01, nr - 1
     rng = np.random.default_rng(seed)
     psi = oracle.GridWavefunction(
         rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta)), 1.0, t)
-    _, dense = dense_interior(fac(t + 0.5 * h))
+    _, dense = dense_interior(reference_terms(bnd, spec, t + 0.5 * h, ntheta), nr, ntheta, 1.0)
     s = 0.5j * h / spec.hbar
     eye = np.eye(ni * ntheta)
     want = np.linalg.solve(eye + s * dense, (eye - s * dense) @ psi.values[:-1].ravel())
@@ -449,11 +558,14 @@ def test_cn_step_matches_dense_reference(seed, nr, ntheta, kappa, epsilon, panto
     assert np.linalg.norm(got[:-1].ravel() - want) <= 1e-12 * np.linalg.norm(want)
     assert not got[-1].any()
 
-    # the same stencils with random theta-constant offsets, so that the
-    # parity ghosts of (1/r) d_r and d_rr no longer cancel in the means
-    op = dataclasses.replace(fac(t), terms=[(c + rng.normal(), name, p)
-                                            for c, name, p in fac(t).terms])
-    units, dense = dense_interior(op)
+    # the same table with random theta-constant offsets on the three scalars
+    # and on dil, so that the operator is no ellipse's; the parity ghosts of
+    # (1/r) d_r and d_rr cancel in the blocks for any scalars, but not in the
+    # Delta m = +-1, +-2 bands
+    op = fac(t)
+    op = dataclasses.replace(op, scales=tuple(c + rng.normal() for c in op.scales),
+                             dil=op.dil + rng.normal())
+    units, dense = dense_interior(scaled_terms(op.scales, op.dil, ntheta), nr, ntheta, 1.0)
     heff = np.array([oracle.apply_heff(op, oracle.GridWavefunction(u, 1.0)).values[:-1].ravel()
                      for u in units]).T
     scale = np.max(np.abs(dense))
@@ -601,23 +713,6 @@ def test_grid_convergence_second_order_in_r(deformed_spec):
     err96 = abs(p96 - p384)
     assert err96 < err48
     assert err48 / err96 > 2.5  # ~4 for a clean 2nd-order scheme
-
-
-def test_snapshot_round_trip(tmp_path, dilating_spec):
-    spec = dilating_spec
-    mode = sf.mode_make(1, 2, spec)
-    psi = sample_mode(mode, spec, 1.5, 32, 16)
-    path = tmp_path / "snap.txt"
-    oracle.write_snapshot(psi, path)
-    header = path.read_text().splitlines()[0].split()
-    assert header[:2] == ["32", "16"]
-    back = oracle.read_snapshot(path, r0=spec.r0)
-    assert back.time == psi.time
-    assert np.array_equal(back.values, psi.values)  # repr round-trip is exact
-    with pytest.raises(ValueError, match="header"):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("32 16 0.0\n1.0 0.0\n")
-        oracle.read_snapshot(bad)
 
 
 def test_fd_energy_rate_validates_grid(unit_spec):
