@@ -82,9 +82,10 @@ class DomainSpec:
         return self._sched().gdot(t)
 
 
-def _check_span(spec: DomainSpec, t) -> None:
-    """Reject any time t outside the span [0, t_c) on which the box exists
-    (t_c = -1/kappa when kappa < 0, infinite otherwise).
+def _check_span(spec, t) -> None:
+    """Reject any time t outside the span [0, t_c) on which the box of
+    ``spec`` (a DomainSpec or a oned.Box1DSpec: both have lambda = 1 + kappa t)
+    exists (t_c = -1/kappa when kappa < 0, infinite otherwise).
 
     Each t must be finite and nonnegative with lambda(t) > 0.  lambda is
     linear with lambda(0) = 1, so it stays positive on all of [0, t] exactly
@@ -103,16 +104,17 @@ def _check_span(spec: DomainSpec, t) -> None:
 def radius(spec: DomainSpec, theta, t):
     """Exact (unexpanded) boundary ratio R(theta, t) = lam / (1 - eps g cos theta).
 
-    The physical wall sits at r = R(theta, t) * r0.  Raises if the domain
-    stops being star-shaped (denominator <= 0) or if t is not a time of the
-    box (see _check_span).
+    The physical wall sits at r = R(theta, t) * r0.  ValueError naming t if
+    t is not a time of the box (see _check_span) or if the domain is not
+    star-shaped at t (|eps g| >= 1), whatever the theta values given.
     """
     _check_span(spec, t)
-    lam = spec.lam(t)
-    den = 1.0 - spec.epsilon * spec.g(t) * np.cos(np.asarray(theta, dtype=float))
-    if np.any(den <= 0):
-        raise ValueError("boundary not star-shaped: 1 - eps*g*cos(theta) <= 0")
-    return lam / den
+    t, eg = np.broadcast_arrays(t, spec.epsilon * spec.g(t))
+    bad = np.abs(eg) >= 1.0
+    if bad.any():
+        raise ValueError(f"boundary not star-shaped at t = {float(t[bad][0])!r}: "
+                         f"|eps g| = {float(abs(eg[bad][0]))!r} >= 1")
+    return spec.lam(t) / (1.0 - eg * np.cos(np.asarray(theta, dtype=float)))
 
 
 def radius_linearized(spec: DomainSpec, theta, t):

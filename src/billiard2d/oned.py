@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import _check_span
+from .oracle import _half_steps, _tridiag_apply, _tridiag_solve
+
 __all__ = [
     "Box1DSpec",
     "grid_1d",
@@ -26,6 +29,7 @@ __all__ = [
 ]
 
 MIN_POINTS = 16
+_LAPLACE = np.array([[1.0], [-2.0], [1.0]])  # the d_xx stencil times dx^2
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,10 @@ class Box1DSpec:
     nx: int = 256
 
     def __post_init__(self):
+        for name in ("mu", "hbar", "x0", "kappa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu <= 0 or self.hbar <= 0 or self.x0 <= 0:
             raise ValueError("mu, hbar and x0 must be positive")
         if self.nx < MIN_POINTS:
@@ -57,41 +65,40 @@ def grid_1d(spec: Box1DSpec) -> np.ndarray:
     return -0.5 * spec.x0 + spec.dx * np.arange(1, spec.nx + 1)
 
 
-def _dilation_offdiag_1d(spec: Box1DSpec) -> np.ndarray:
-    """Upper off-diagonal of (1/2 + x d_x) = (x D + D x)/2; the lower is its
-    negative and the diagonal zero: exactly anti-Hermitian on the grid."""
+def _dilation_1d(spec: Box1DSpec) -> np.ndarray:
+    """(1/2 + x d_x) = (x D + D x)/2 as a flat (lower, diag, upper) stack:
+    zero diagonal, lower the negative of upper, so exactly anti-Hermitian."""
     x = grid_1d(spec)
-    return (x[:-1] + x[1:]) / (4.0 * spec.dx)
+    upper = np.append((x[:-1] + x[1:]) / (4.0 * spec.dx), 0.0)
+    return np.array([-np.roll(upper, 1), np.zeros_like(upper), upper])
 
 
-def _h_tridiag_1d(spec: Box1DSpec, t: float):
-    """(lower, diag, upper) of the transformed generator at time t."""
+def _generator_1d(spec: Box1DSpec, t: float) -> np.ndarray:
+    """The transformed generator at time t as a flat tridiagonal stack."""
     lam = float(spec.lam(t))
     c = -spec.hbar**2 / (2.0 * spec.mu * lam**2)
-    off_gen = 1j * spec.hbar * spec.kappa / lam * _dilation_offdiag_1d(spec)
-    diag = np.full(spec.nx, -2.0 * c / spec.dx**2, dtype=complex)
-    return c / spec.dx**2 - off_gen, diag, c / spec.dx**2 + off_gen
+    return c / spec.dx**2 * _LAPLACE + 1j * spec.hbar * spec.kappa / lam * _dilation_1d(spec)
 
 
-def _tridiag_matvec(lower, diag, upper, phi) -> np.ndarray:
-    out = diag * phi
-    out[:-1] += upper * phi[1:]
-    out[1:] += lower * phi[:-1]
-    return out
-
-
-def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
-    """[-hbar^2/(2 mu R^2) d_xx + i hbar (Rdot/R)(1/2 + x d_x)] phi."""
+def _interior(spec: Box1DSpec, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (spec.nx,):
         raise ValueError("phi must be sampled on the interior grid")
-    return _tridiag_matvec(*_h_tridiag_1d(spec, t), phi)
+    return phi
+
+
+def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
+    """[-hbar^2/(2 mu R^2) d_xx + i hbar (Rdot/R)(1/2 + x d_x)] phi.
+
+    ValueError if t is not a time of the box (see domain._check_span)."""
+    _check_span(spec, t)
+    return _tridiag_apply(_generator_1d(spec, t), _interior(spec, phi))
 
 
 def dilation_matrix_1d(spec: Box1DSpec) -> np.ndarray:
     """Dense matrix of the (1/2 + x d_x) generator (anti-Hermiticity checks)."""
-    off = _dilation_offdiag_1d(spec)
-    return np.diag(off, 1) - np.diag(off, -1)
+    lower, _, upper = _dilation_1d(spec)
+    return np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
 
 
 def energy_rate_1d(spec: Box1DSpec, phi, t: float) -> float:
@@ -100,11 +107,11 @@ def energy_rate_1d(spec: Box1DSpec, phi, t: float) -> float:
     Wall derivatives use one-sided 4th-order stencils anchored on the
     Dirichlet zeros.  The x0/2 factor makes the formula agree with the
     finite-difference derivative of <H1> on a box of any width (exact-mode
-    check: both sides give -2 Rdot E_n / R^3).
+    check: both sides give -2 Rdot E_n / R^3).  ValueError if t is not a
+    time of the box.
     """
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (spec.nx,):
-        raise ValueError("phi must be sampled on the interior grid")
+    _check_span(spec, t)
+    phi = _interior(spec, phi)
     edge = max(abs(phi[0]), abs(phi[-1]))
     if edge / (np.abs(phi).max() + 1e-300) > 0.2:
         warnings.warn("state large near the walls; contact formula suspect",
@@ -125,30 +132,17 @@ def box_eigenmode_1d(spec: Box1DSpec, n: int) -> np.ndarray:
 
 
 def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Crank-Nicolson propagation of the transformed 1D generator.
-
-    Tridiagonal solves; operator frozen at the half step.  ValueError unless
-    dt is finite and > 0 and t1 is not before t0.
-    """
-    from scipy.linalg import solve_banded
-
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if not t1 >= t0:
-        raise ValueError(f"t1 = {t1} is before the start time t0 = {t0}")
-    phi = np.asarray(phi, dtype=complex).copy()
-    total = t1 - t0
-    nsteps = max(1, round(total / dt))
-    h = total / nsteps
-    t = t0
+    """Crank-Nicolson propagation of the transformed 1D generator: the
+    tridiagonal step of oracle.propagate's theta-constant case, operator
+    frozen at the half step.  ValueError unless dt is finite and > 0, t1 is
+    not before t0, both are times of the box and phi is finite."""
+    h, steps = _half_steps(t0, t1, dt)
+    _check_span(spec, (t0, t1))
+    phi = _interior(spec, phi).copy()
+    if not np.isfinite(phi).all():
+        raise ValueError("phi must be finite")
     z = 0.5j * h / spec.hbar
-    for _ in range(nsteps):
-        lower, diag, upper = _h_tridiag_1d(spec, t + 0.5 * h)
-        rhs = phi - z * _tridiag_matvec(lower, diag, upper, phi)  # (I - z H) phi
-        ab = np.zeros((3, spec.nx), dtype=complex)
-        ab[0, 1:] = z * upper
-        ab[1, :] = 1.0 + z * diag
-        ab[2, :-1] = z * lower
-        phi = solve_banded((1, 1), ab, rhs)
-        t += h
+    for t_half, _ in steps:
+        bands = _generator_1d(spec, t_half)
+        phi = _tridiag_solve(bands, z, phi - z * _tridiag_apply(bands, phi))  # (I - z H) phi
     return phi

@@ -16,6 +16,7 @@ import math
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import lapack
@@ -127,10 +128,45 @@ def _fourier_table(nr: int, ntheta: int, r0: float) -> dict:
     return table
 
 
-def _add_offdiag(out: np.ndarray, bands: np.ndarray, x: np.ndarray) -> None:
-    """out += lower and upper of flat m-major ``bands`` times x (joints are zero)."""
+def _tridiag_apply(bands: np.ndarray, x: np.ndarray, out=None, diag: bool = True):
+    """T x, or out += T x in place (diagonal first, unless not ``diag``), for
+    T a flat (lower, diag, upper) stack (3, n) as _fourier_table stores it."""
+    if out is None:
+        out = bands[1] * x
+    elif diag:
+        out += bands[1] * x
     out[:-1] += bands[2, :-1] * x[1:]
     out[1:] += bands[0, 1:] * x[:-1]
+    return out
+
+
+def _shifted(bands: np.ndarray, scale: complex):
+    """I + scale T as LAPACK's (dl, d, du), without the unused lower[0], upper[-1]."""
+    lower, diag, upper = scale * bands
+    diag += 1.0
+    return lower[1:], diag, upper[:-1]
+
+
+def _tridiag_solve(bands: np.ndarray, scale: complex, rhs: np.ndarray) -> np.ndarray:
+    """y with (I + scale T) y = rhs (flat, length n): one zgtsv."""
+    *_, y, info = lapack.zgtsv(*_shifted(bands, scale), rhs)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal solve failed (info={info})")
+    return y
+
+
+def _half_steps(t0: float, t1: float, dt: float):
+    """h and each (half-step time, end time) of the CN grid from t0 to t1:
+    max(1, round(span / dt)) steps, none if t1 == t0, times accumulated as
+    t + h/2, t += h.  ValueError unless dt is finite and > 0 and t1 >= t0."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not t1 >= t0:
+        raise ValueError(f"t1 = {t1} is before the start time {t0}")
+    nsteps = max(1, round((t1 - t0) / dt)) if t1 > t0 else 0
+    h = (t1 - t0) / max(nsteps, 1)
+    ends = list(accumulate([h] * nsteps, initial=t0))
+    return h, [(t + 0.5 * h, end) for t, end in zip(ends, ends[1:])]
 
 
 @dataclass
@@ -248,20 +284,17 @@ class EffectiveOperator:
         x = xhat.T  # m-major, as the bands are stored
         flat = x.reshape(-1)
         n, ni = flat.size, self.nr - 1
-        out = self._blocks[1] * flat
-        _add_offdiag(out, self._blocks, flat)
+        out = _tridiag_apply(self._blocks, flat)
         if self._couplings:  # wrapped[(m + 2) ni + j] = x[m mod ntheta, j]
             wrapped = np.concatenate((flat[-2 * ni:], flat, flat[:2 * ni]))
             for scale, shifts in self._couplings:
                 source = scale * wrapped
                 for d, bands in shifts:
-                    shifted = source[(2 - d) * ni:(2 - d) * ni + n]
-                    out += bands[1] * shifted
-                    _add_offdiag(out, bands, shifted)
+                    _tridiag_apply(bands, source[(2 - d) * ni:(2 - d) * ni + n], out)
         if self._rest is not None:  # the dilation stencil has no diagonal
             field, bands = self._rest
-            _add_offdiag(out, bands,
-                         np.fft.fft(field * np.fft.ifft(x, axis=0), axis=0).reshape(-1))
+            _tridiag_apply(bands, np.fft.fft(field * np.fft.ifft(x, axis=0), axis=0).reshape(-1),
+                           out, diag=False)
         return out.reshape(x.shape).T
 
     def mean_blocks(self):
@@ -314,26 +347,21 @@ def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction
 
 
 class _BlockFactor:
-    """LU factorization of (I + scale * T_m) for every Fourier block at once:
-    the blocks of :meth:`EffectiveOperator.mean_blocks`, flattened m-major (no
-    copy; their joints are zero), are one tridiagonal system.  ``solve`` takes
-    and returns m-major (ntheta, nr - 1) spectra and reuses the factorization.
-    """
+    """LU factorization of (I + scale T), T a flat tridiagonal stack (the
+    Fourier blocks), for the many solves of a deformed step's GMRES
+    preconditioner.  ``solve`` takes and returns m-major spectra."""
 
-    def __init__(self, lower, diag, upper, scale: complex):
-        self.shape = diag.shape[::-1]
-        dl, d, du = ((scale * band).T.reshape(-1) for band in (lower, diag, upper))
-        d += 1.0
-        dl_f, d_f, du_f, du2, ipiv, info = lapack.zgttrf(dl[1:], d, du[:-1])
+    def __init__(self, bands: np.ndarray, scale: complex):
+        *fact, info = lapack.zgttrf(*_shifted(bands, scale))
         if info != 0:
             raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._fact = (dl_f, d_f, du_f, du2, ipiv)
+        self._fact = fact
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = lapack.zgttrs(*self._fact, rhs.reshape(-1))
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x.reshape(self.shape)
+        return x.reshape(rhs.shape)
 
 
 _RESTART = 20  # inner iterations per GMRES cycle
@@ -435,14 +463,14 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
 def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
               rtol: float = 1e-11, max_iter: int = 60) -> GridWavefunction:
     """Crank-Nicolson propagation from psi0.time to t1 (not before it; dt
-    finite and > 0, rtol finite and > 0 and max_iter an int >= 1, else
-    ValueError before any step).
+    finite and > 0, rtol finite and > 0 and max_iter an int >= 1, and every
+    operator on psi0's grid, else ValueError before any step).
 
     The state is carried m-major as the angular spectrum of its interior
     rows.  Each step builds the operator at the half-step time (the grid's one
-    table combined with that time's scalars) and factors its blocks.  A
-    theta-constant operator (pantographic) is its blocks: the step is one
-    block solve, with no FFT.  Otherwise an application adds the Delta m bands
+    table combined with that time's scalars).  A theta-constant operator
+    (pantographic) is its blocks: the step is one tridiagonal solve (zgtsv),
+    with no FFT.  Otherwise an application adds the Delta m bands
     and, while eps gdot != 0, one FFT pair for dil's rest, and restarted GMRES
     (cycles of 20) preconditioned by the blocks, started from the block solve
     and then from 2 x_n - x_{n-1}, iterates until the true residual is within
@@ -459,27 +487,22 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
         raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and > 0, got {rtol!r}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if not t1 >= psi0.time:
-        raise ValueError(f"t1 = {t1} is before the start time {psi0.time}")
-    total = t1 - psi0.time
-    if total == 0:
+    h, steps = _half_steps(psi0.time, t1, dt)
+    if not steps:
         return psi0.copy()
-    nsteps = max(1, round(total / dt))
-    h = total / nsteps
-    t = psi0.time
     x = np.fft.fft(psi0.values[:-1].T, axis=0)  # (ntheta, nr - 1)
     prev = None
-    for _ in range(nsteps):
-        t_half = t + 0.5 * h
+    for t_half, t in steps:
         op = op_factory(t_half)
+        if (op.nr, op.ntheta, op.r0) != (psi0.nr, psi0.ntheta, psi0.r0):
+            raise ValueError(f"operator grid (nr, ntheta, r0) = {(op.nr, op.ntheta, op.r0)} "
+                             f"is not the wavefunction's {(psi0.nr, psi0.ntheta, psi0.r0)}")
         scale = 1j * h / (2.0 * op.hbar)
-        factor = _BlockFactor(*op.mean_blocks(), scale)
         b = x - scale * op.apply(x.T).T
         if op.theta_constant:
-            step = factor.solve(b)
+            step = _tridiag_solve(op._blocks, scale, b.reshape(-1)).reshape(x.shape)
         else:
+            factor = _BlockFactor(op._blocks, scale)
             start = factor.solve(b) if prev is None else 2.0 * x - prev
             step, inner, resid = _gmres(lambda f: f + scale * op.apply(f.T).T,
                                         factor.solve, b, start, rtol, max_iter)
@@ -489,7 +512,6 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
                     f"iterations: {inner}, relative residual: {resid:.3e}, rtol: {rtol!r}); "
                     "reduce dt or the deformation amplitude")
         prev, x = x, step
-        t += h
     values = np.zeros(psi0.values.shape, dtype=complex)
     values[:-1] = np.fft.ifft(x, axis=0).T
     return GridWavefunction(values, psi0.r0, t)

@@ -67,6 +67,17 @@ def test_radius_star_violation_raises():
         radius(spec, 0.0, 50.0)
 
 
+def test_radius_star_violation_raises_at_any_theta():
+    # eps g(3) = 1.43: the wall is not star-shaped, though 1 - eps g cos(theta)
+    # is positive at theta = 1 and 2
+    spec = DomainSpec(kappa=0.0, gamma=1.0, epsilon=1.5)
+    with pytest.raises(ValueError, match=r"not star-shaped at t = 3\.0: \|eps g\| = 1\.42"):
+        radius(spec, [1.0, 2.0], 3.0)
+    with pytest.raises(ValueError, match=r"not star-shaped at t = 3\.0"):
+        radius(spec, 2.0, np.array([0.1, 3.0, 4.0]))
+    assert radius(spec, 2.0, 0.1) > 0
+
+
 def test_radius_negative_lambda_raises():
     spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.0)
     with pytest.raises(ValueError, match="lambda"):

@@ -24,6 +24,13 @@ def test_spec_validation():
         oned.Box1DSpec(x0=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu", "hbar", "x0", "kappa"])
+def test_spec_rejects_non_finite_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        oned.Box1DSpec(**{name: value})
+
+
 def test_static_eigenmode_residual():
     spec = oned.Box1DSpec(x0=1.0, kappa=0.0, nx=400)
     phi = oned.box_eigenmode_1d(spec, 1)
@@ -150,3 +157,25 @@ def test_energy_rate_warns_near_walls():
     phi = np.ones(spec.nx, dtype=complex)
     with pytest.warns(UserWarning, match="walls"):
         oned.energy_rate_1d(spec, phi, 0.0)
+
+
+def test_propagate_1d_rejects_non_finite_phi():
+    spec = oned.Box1DSpec(kappa=0.1, nx=32)
+    phi0 = oned.box_eigenmode_1d(spec, 1)
+    phi0[5] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        oned.propagate_1d(spec, phi0, 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("kappa, call", [
+    (-0.5, lambda spec, phi: oned.propagate_1d(spec, phi, 0.0, 3.0, 0.01)),  # lambda(3) = -0.5
+    (-0.5, lambda spec, phi: oned.propagate_1d(spec, phi, 2.0, 2.5, 0.01)),  # lambda(2) = 0
+    (-0.5, lambda spec, phi: oned.propagate_1d(spec, phi, -1.0, 0.5, 0.01)),  # before t = 0
+    (-1.0, lambda spec, phi: oned.energy_rate_1d(spec, phi, 1.0)),  # lambda(1) = 0
+    (-0.1, lambda spec, phi: oned.apply_h1d(spec, phi, 15.0)),  # lambda(15) = -0.5
+])
+def test_collapsed_box_raises(kappa, call):
+    # past the collapse at t = -1/kappa there is no box to propagate in
+    spec = oned.Box1DSpec(kappa=kappa, nx=32)
+    with pytest.raises(ValueError, match="outside the box's span"):
+        call(spec, oned.box_eigenmode_1d(spec, 1))

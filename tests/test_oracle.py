@@ -300,14 +300,19 @@ def _no_gmres(*args, **kwargs):
     raise AssertionError("gmres called for a theta-constant operator")
 
 
+def _no_factor(*args, **kwargs):
+    raise AssertionError("blocks factored for a theta-constant operator")
+
+
 def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch):
     # theta-constant coefficients: the blocks are the operator, so a step is
-    # its right-hand side and one block solve
+    # its right-hand side and one tridiagonal solve, with no factorization kept
     calls = []
     apply = oracle.EffectiveOperator.apply
     monkeypatch.setattr(oracle.EffectiveOperator, "apply",
                         lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
     monkeypatch.setattr(oracle, "_gmres", _no_gmres)
+    monkeypatch.setattr(oracle, "_BlockFactor", _no_factor)
     psi0 = sample_mode(sf.mode_make(1, 1, dilating_spec), dilating_spec, 0.0, 32, 16)
     oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, 0.5, 0.01)
     assert len(calls) == 50
@@ -430,6 +435,15 @@ def test_propagate_rejects_bad_time_arguments(dilating_spec, t1, dt):
         oracle.propagate(fac, psi0, t1, dt)
     same = oracle.propagate(fac, psi0, 1.0, dt if dt == 0.01 else 0.01)
     assert same.time == 1.0 and np.array_equal(same.values, psi0.values)
+
+
+@pytest.mark.parametrize("nr, ntheta, r0", [(32, 16, 2.0), (48, 16, 1.0), (32, 20, 1.0)])
+def test_propagate_rejects_an_operator_of_another_grid(dilating_spec, nr, ntheta, r0):
+    # the operator is built for a 32 x 16 grid on r0 = 1; psi0 is not
+    fac = pantographic_factory(dilating_spec, 32, 16)
+    psi0 = oracle.GridWavefunction(np.ones((nr, ntheta)), r0)
+    with pytest.raises(ValueError, match=r"operator grid \(nr, ntheta, r0\) = \(32, 16, 1\.0\)"):
+        oracle.propagate(fac, psi0, 0.1, 0.01)
 
 
 def _never_called(t):
