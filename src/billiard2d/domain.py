@@ -13,7 +13,6 @@ from .specfun import gauss_legendre
 
 __all__ = [
     "DomainSpec",
-    "ExponentialSchedule",
     "BoundaryFunction",
     "radius",
     "radius_linearized",
@@ -24,17 +23,19 @@ __all__ = [
 ]
 
 
-class ExponentialSchedule:
-    """Default deformation schedule g(t) = 1 - exp(-gamma t)."""
-
-    def __init__(self, gamma: float):
-        self.gamma = float(gamma)
-
-    def g(self, t):
-        return 1.0 - np.exp(-self.gamma * np.asarray(t, dtype=float))
-
-    def gdot(self, t):
-        return self.gamma * np.exp(-self.gamma * np.asarray(t, dtype=float))
+def _check_fields(spec, positive: tuple, nonnegative: tuple = (), signed: tuple = ()) -> None:
+    """ValueError naming the field unless each field named is finite, those in
+    ``positive`` > 0 and those in ``nonnegative`` >= 0 (DomainSpec and
+    oned.Box1DSpec)."""
+    for name in positive + nonnegative + signed:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if min(getattr(spec, name) for name in positive) <= 0:
+        raise ValueError(f"{', '.join(positive[:-1])} and {positive[-1]} must be positive")
+    for name in nonnegative:
+        if getattr(spec, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class DomainSpec:
 
     The dilation is always uniform, lambda(t) = 1 + kappa t; the deformation
     profile is eps * g(t) * cos(theta) with g pluggable through ``schedule``
-    (exponential approach to 1 by default).
+    (an object with methods g and gdot), g(t) = 1 - exp(-gamma t) without one.
     """
 
     mu: float = 1.0
@@ -55,19 +56,7 @@ class DomainSpec:
     schedule: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for name in ("mu", "hbar", "r0", "kappa", "gamma", "epsilon"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.mu <= 0 or self.hbar <= 0 or self.r0 <= 0:
-            raise ValueError("mu, hbar and r0 must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-
-    def _sched(self):
-        return self.schedule if self.schedule is not None else ExponentialSchedule(self.gamma)
+        _check_fields(self, ("mu", "hbar", "r0"), ("epsilon", "gamma"), ("kappa",))
 
     def lam(self, t):
         return 1.0 + self.kappa * np.asarray(t, dtype=float)
@@ -76,10 +65,14 @@ class DomainSpec:
         return self.kappa * np.ones_like(np.asarray(t, dtype=float))
 
     def g(self, t):
-        return self._sched().g(t)
+        if self.schedule is not None:
+            return self.schedule.g(t)
+        return 1.0 - np.exp(-self.gamma * np.asarray(t, dtype=float))
 
     def gdot(self, t):
-        return self._sched().gdot(t)
+        if self.schedule is not None:
+            return self.schedule.gdot(t)
+        return self.gamma * np.exp(-self.gamma * np.asarray(t, dtype=float))
 
 
 def _check_span(spec, t) -> None:
@@ -101,20 +94,36 @@ def _check_span(spec, t) -> None:
             f"(the box collapses at lambda <= 0)")
 
 
+def _box(spec: DomainSpec, t):
+    """(lambda, lambda dot, eps g, eps gdot) of the ellipse ``spec`` at t, as
+    Python floats for a scalar t.  ValueError naming the first bad t if t is
+    not a time of the box (see _check_span), if eps g or eps gdot is
+    non-finite or if the domain is not star-shaped (|eps g| >= 1)."""
+    _check_span(spec, t)
+    box = (spec.lam(t), spec.lamdot(t), spec.epsilon * spec.g(t), spec.epsilon * spec.gdot(t))
+    scalar = not isinstance(box[0], np.ndarray)  # lam of a 0-d t is a numpy scalar
+    if scalar:
+        box = tuple(map(float, box))
+    valid = (abs(box[2]) < 1.0) & (abs(box[3]) < math.inf)  # False at nan
+    if not (valid if scalar else np.all(valid)):
+        t, eg, egdot = np.broadcast_arrays(t, *box[2:])
+        bad = ~(np.isfinite(eg) & np.isfinite(egdot))
+        if bad.any():
+            raise ValueError(f"non-finite boundary eps g or eps gdot at t = {float(t[bad][0])!r}")
+        bad = np.abs(eg) >= 1.0
+        raise ValueError(f"boundary not star-shaped at t = {float(t[bad][0])!r}: "
+                         f"|eps g| = {float(abs(eg[bad][0]))!r} >= 1")
+    return box
+
+
 def radius(spec: DomainSpec, theta, t):
     """Exact (unexpanded) boundary ratio R(theta, t) = lam / (1 - eps g cos theta).
 
     The physical wall sits at r = R(theta, t) * r0.  ValueError naming t if
-    t is not a time of the box (see _check_span) or if the domain is not
-    star-shaped at t (|eps g| >= 1), whatever the theta values given.
+    the box is not valid at t (see _box), whatever the theta values given.
     """
-    _check_span(spec, t)
-    t, eg = np.broadcast_arrays(t, spec.epsilon * spec.g(t))
-    bad = np.abs(eg) >= 1.0
-    if bad.any():
-        raise ValueError(f"boundary not star-shaped at t = {float(t[bad][0])!r}: "
-                         f"|eps g| = {float(abs(eg[bad][0]))!r} >= 1")
-    return spec.lam(t) / (1.0 - eg * np.cos(np.asarray(theta, dtype=float)))
+    lam, _, eg, _ = _box(spec, t)
+    return lam / (1.0 - eg * np.cos(np.asarray(theta, dtype=float)))
 
 
 def radius_linearized(spec: DomainSpec, theta, t):

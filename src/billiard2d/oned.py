@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _check_span
+from .domain import _check_fields, _check_span
 from .oracle import _half_steps, _tridiag_apply, _tridiag_solve
 
 __all__ = [
@@ -43,12 +43,7 @@ class Box1DSpec:
     nx: int = 256
 
     def __post_init__(self):
-        for name in ("mu", "hbar", "x0", "kappa"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.mu <= 0 or self.hbar <= 0 or self.x0 <= 0:
-            raise ValueError("mu, hbar and x0 must be positive")
+        _check_fields(self, ("mu", "hbar", "x0"), signed=("kappa",))
         if self.nx < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} grid points")
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.linalg import lapack
 
-from .domain import BoundaryFunction, DomainSpec, _check_span
+from .domain import BoundaryFunction, DomainSpec, _box, _check_span
 from .pantograph import alpha, beta, phi_exact
 from .specfun import BesselMode, adaptive_quad_vec, radial_profile
 
@@ -46,6 +46,11 @@ _BRUTE_NTHETA = 64  # angular nodes of the brute-force sandwich
 def _grid_radii(nr: int, r0: float) -> np.ndarray:
     """Radial nodes r_j = (j + 1/2) dr with dr = r0 / (nr - 1/2)."""
     return (np.arange(nr) + 0.5) * (r0 / (nr - 0.5))
+
+
+def _grid_thetas(ntheta: int) -> np.ndarray:
+    """Angular nodes 2 pi k / ntheta."""
+    return np.arange(ntheta) * (2.0 * math.pi / ntheta)
 
 
 @lru_cache(maxsize=32)
@@ -202,7 +207,7 @@ class GridWavefunction:
         return _grid_radii(self.nr, self.r0)
 
     def thetas(self) -> np.ndarray:
-        return np.arange(self.ntheta) * (2.0 * math.pi / self.ntheta)
+        return _grid_thetas(self.ntheta)
 
     def inner(self, other: "GridWavefunction") -> complex:
         w = self.radii() * self.dr * (2.0 * math.pi / self.ntheta)
@@ -218,10 +223,8 @@ class GridWavefunction:
 def grid_from_sampler(sampler, r0: float, nr: int, ntheta: int,
                       time: float = 0.0) -> GridWavefunction:
     """Sample a callable psi(r, theta) onto the grid (boundary row zeroed)."""
-    g = GridWavefunction(np.zeros((nr, ntheta), dtype=complex), r0, time)
-    g.values[:] = sampler(g.radii()[:, None], g.thetas()[None, :])
-    g.values[-1, :] = 0.0
-    return g
+    values = sampler(_grid_radii(nr, r0)[:, None], _grid_thetas(ntheta)[None, :])
+    return GridWavefunction(np.broadcast_to(values, (nr, ntheta)), r0, time)
 
 
 @dataclass(eq=False)
@@ -245,6 +248,10 @@ class EffectiveOperator:
     dil: complex | np.ndarray
 
     def __post_init__(self):
+        if self.nr < MIN_GRID or self.ntheta < MIN_GRID:
+            raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
+        if self.ntheta % 2:
+            raise ValueError("ntheta must be even")
         table = _fourier_table(self.nr, self.ntheta, self.r0)
         s0, s1, s2 = self.scales
         dil = np.asarray(self.dil, dtype=complex)
@@ -312,24 +319,13 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
 
     dil = i hbar (lamdot/lam + eps gdot cos/(1 - eps g cos)) is sampled on
     the theta nodes only if eps gdot != 0: at eps g = eps gdot = 0 the
-    operator is theta-constant.  ValueError naming t if t is not a time of
-    the box, if eps g or eps gdot is non-finite, or if |eps g| >= 1.
+    operator is theta-constant.  ValueError naming t if the box is not
+    valid at t (see domain._box).
     """
-    if nr < MIN_GRID or ntheta < MIN_GRID:
-        raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
-    if ntheta % 2:
-        raise ValueError("ntheta must be even")
-    ellipse = boundary.spec
-    _check_span(ellipse, t)
-    lam, lamdot = float(ellipse.lam(t)), float(ellipse.lamdot(t))
-    eg, egdot = (ellipse.epsilon * float(f(t)) for f in (ellipse.g, ellipse.gdot))
-    if not (math.isfinite(eg) and math.isfinite(egdot)):
-        raise ValueError(f"non-finite boundary eps g or eps gdot at t = {t!r}")
-    if abs(eg) >= 1.0:
-        raise ValueError(f"boundary not star-shaped at t = {t!r}: |eps g| = {abs(eg)!r} >= 1")
+    lam, lamdot, eg, egdot = _box(boundary.spec, t)
     q = 1.0 / lam  # q = 1/R where eps g cos(theta) = 0
     pref = -spec.hbar**2 / (2.0 * spec.mu) * q * q
-    cos = np.cos(np.arange(ntheta) * (2.0 * math.pi / ntheta)) if egdot else 0.0
+    cos = np.cos(_grid_thetas(ntheta)) if egdot else 0.0
     dil = 1j * spec.hbar * (lamdot * q + egdot * cos / (1.0 - eg * cos))
     return EffectiveOperator(nr=nr, ntheta=ntheta, r0=spec.r0, hbar=spec.hbar,
                              scales=(pref, pref * eg, pref * eg * eg), dil=dil)
@@ -339,8 +335,6 @@ def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction
     """H_eff applied on the grid; Dirichlet row re-imposed on the result."""
     if (psi.nr, psi.ntheta) != (op.nr, op.ntheta) or psi.r0 != op.r0:
         raise ValueError("grid mismatch between operator and wavefunction")
-    if psi.nr < MIN_GRID or psi.ntheta < MIN_GRID:
-        raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
     values = np.zeros(psi.values.shape, dtype=complex)
     values[:-1] = np.fft.ifft(op.apply(np.fft.fft(psi.values[:-1], axis=1)), axis=1)
     return GridWavefunction(values, psi.r0, psi.time)
@@ -463,8 +457,8 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
 def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
               rtol: float = 1e-11, max_iter: int = 60) -> GridWavefunction:
     """Crank-Nicolson propagation from psi0.time to t1 (not before it; dt
-    finite and > 0, rtol finite and > 0 and max_iter an int >= 1, and every
-    operator on psi0's grid, else ValueError before any step).
+    finite and > 0, rtol finite and > 0, max_iter an int >= 1, psi0 finite
+    and every operator on psi0's grid, else ValueError before any step).
 
     The state is carried m-major as the angular spectrum of its interior
     rows.  Each step builds the operator at the half-step time (the grid's one
@@ -487,6 +481,8 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
         raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and > 0, got {rtol!r}")
+    if not np.isfinite(psi0.values).all():
+        raise ValueError("psi0 must be finite")
     h, steps = _half_steps(psi0.time, t1, dt)
     if not steps:
         return psi0.copy()
@@ -530,8 +526,10 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
     With ``dressed=False`` the sandwich is taken between bare eigenmodes.
     ``s`` may be an array of times: the result (each of the three parts with
     ``parts=True``) is then an array of its shape, and a scalar ``s`` gives
-    a ``complex``.
+    a ``complex``.  ValueError if a time is not a time of the box (see
+    domain._check_span).
     """
+    _check_span(spec, s)
     tgt, src = pair.target, pair.source
     s = np.asarray(s, dtype=float)
     # one row of radial samples per time
@@ -580,6 +578,7 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
 def brute_element_integrated(pair, spec: DomainSpec, t: float,
                              abs_tol: float = 1e-9) -> complex:
     """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive quadrature of the sandwich."""
+    _check_span(spec, t)  # else the phase's panel split walks into lambda = 0
     de = pair.target.energy - pair.source.energy
 
     def phase(s):
@@ -617,13 +616,15 @@ def _h1_mean_energy(psi: GridWavefunction, spec: DomainSpec) -> float:
 def fd_energy_rate(trajectory, spec: DomainSpec) -> np.ndarray:
     """4th-order finite-difference d<H1>/dt along a grid trajectory.
 
-    Needs a uniform time grid with at least 5 snapshots; endpoints use
-    one-sided 4th-order stencils.
+    Needs a uniform time grid with at least 5 snapshots, each at a time of
+    the box (see domain._check_span); endpoints use one-sided 4th-order
+    stencils.
     """
     snaps = list(trajectory)
     if len(snaps) < 5:
         raise ValueError("need at least 5 snapshots")
     times = np.array([s.time for s in snaps])
+    _check_span(spec, times)
     hsteps = np.diff(times)
     h = hsteps[0]
     if not np.allclose(hsteps, h, rtol=1e-9, atol=1e-12):

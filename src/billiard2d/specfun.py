@@ -153,8 +153,6 @@ def mode_make(m: int, n: int, spec) -> BesselMode:
     """
     if n < 1:
         raise ValueError("radial index n must be >= 1")
-    if spec.r0 <= 0:
-        raise ValueError("disk radius must be positive")
     m_abs = abs(int(m))
     zero = bessel_zero(m_abs, n)
     k = zero / spec.r0

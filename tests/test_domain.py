@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from billiard2d import oned, oracle
+from billiard2d import pantograph as pg
+from billiard2d import perturbation as pt
 from billiard2d import specfun as sf
 from billiard2d.domain import (
     BoundaryFunction,
@@ -17,6 +21,7 @@ from billiard2d.domain import (
     to_fixed,
     to_moving,
 )
+from test_perturbation import _NanSchedule
 
 
 def test_domain_spec_validation():
@@ -85,6 +90,63 @@ def test_radius_negative_lambda_raises():
     # the shared time check names the first time outside the box's span
     with pytest.raises(ValueError, match="t = nan"):
         radius(spec, 0.0, np.array([1.0, np.nan]))
+
+
+def test_radius_rejects_a_non_finite_schedule():
+    # g is NaN past t = 1: R, the boundary and the moving inner product read
+    # nan with no error, while the operator raised on the same schedule
+    spec = DomainSpec(kappa=0.1, epsilon=0.05, schedule=_NanSchedule())
+    bnd = BoundaryFunction.deformed_from(spec)
+    one = lambda r, th: np.ones_like(r)
+    for call in (lambda: radius(spec, [0.0, 1.0], 1.5),
+                 lambda: radius(spec, 0.0, np.array([0.5, 1.5, 2.0])),
+                 lambda: bnd.value(0.0, 1.5),
+                 lambda: moving_inner_product(one, one, bnd, spec, 1.5, nr=8, ntheta=8)):
+        with pytest.raises(ValueError, match=r"non-finite boundary eps g or eps gdot at t = 1\.5"):
+            call()
+    assert np.all(np.isfinite(radius(spec, [0.0, 1.0], 0.5)))
+
+
+def _pair(spec):
+    return pt.ModePair(source=sf.mode_make(0, 1, spec), target=sf.mode_make(1, 1, spec))
+
+
+# every public entry point that takes a time, called at t on the kappa < 0
+# disk (or 1-d box) of the shared span check
+TIMED_ENTRY_POINTS = {
+    "radius": lambda spec, t: radius(spec, 0.3, t),
+    "effective_operator": lambda spec, t: oracle.effective_operator(
+        BoundaryFunction.deformed_from(spec), spec, t, 16, 16),
+    "brute_element": lambda spec, t: oracle.brute_element(_pair(spec), spec, t),
+    "brute_element_integrated": lambda spec, t: oracle.brute_element_integrated(
+        _pair(spec), spec, t),
+    "fd_energy_rate": lambda spec, t: oracle.fd_energy_rate(
+        [oracle.GridWavefunction(np.ones((16, 16)), spec.r0, t + 0.1 * k) for k in range(5)],
+        spec),
+    "amplitudes": lambda spec, t: pt.amplitudes(
+        _pair(spec).source, [_pair(spec).target], spec, [0.0, t]),
+    "element": lambda spec, t: pt.element(_pair(spec), spec, t),
+    "f_integral": lambda spec, t: pt.f_integral(1, _pair(spec), spec, t),
+    "phi_exact": lambda spec, t: pg.phi_exact(sf.mode_make(0, 1, spec), spec, 0.5, 0.0, t),
+    "energy_rate": lambda spec, t: pg.energy_rate(
+        pg.PantographicState.single(sf.mode_make(0, 1, spec)), spec, t),
+    "mean_energy": lambda spec, t: pg.mean_energy(
+        pg.PantographicState.single(sf.mode_make(0, 1, spec)), spec, t),
+    "apply_h1d": lambda box, t: oned.apply_h1d(box, oned.box_eigenmode_1d(box, 1), t),
+    "propagate_1d": lambda box, t: oned.propagate_1d(
+        box, oned.box_eigenmode_1d(box, 1), 0.0, t, 0.01),
+}
+
+
+@pytest.mark.parametrize("name", TIMED_ENTRY_POINTS)
+def test_every_timed_entry_point_rejects_a_time_past_the_collapse(name):
+    # kappa = -0.5: the box collapses at t = 2, and lambda(3) = -0.5.  The
+    # brute-force element read -0.028+0.595j there, its time integral never
+    # returned, and fd_energy_rate returned the rates of a box of |lambda|
+    spec = (oned.Box1DSpec(kappa=-0.5, nx=32) if name in ("apply_h1d", "propagate_1d")
+            else DomainSpec(kappa=-0.5, gamma=0.5, epsilon=0.05))
+    with pytest.raises(ValueError, match=re.escape("t = 3.0 is outside the box's span")):
+        TIMED_ENTRY_POINTS[name](spec, 3.0)
 
 
 def test_radius_linearized_first_order(deformed_spec):

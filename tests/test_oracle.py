@@ -219,6 +219,22 @@ def test_propagate_pantographic_tracks_exact_solution(dilating_spec):
     assert abs(ref.inner(psi)) / (ref.norm() * psi.norm()) >= 1.0 - 1e-4
 
 
+@pytest.mark.parametrize("dt", [0.05, 0.025])
+def test_pantographic_cn_phase_error_is_pinned_at_second_order(dilating_spec, dt):
+    # CN's free-phase error: from (0,1) + (1,1), the phase of (1,1) relative
+    # to (0,1) at t = 50 is 0.154 rad at dt 0.05 and 0.039 rad at dt 0.025
+    # on 192 x 32, and the same on 192 x 16 (m = 0, 1 only).  The radial
+    # error is below 1e-3 rad, so the pin is C dt^2 with C = 64 rad
+    spec = dilating_spec
+    a, b = sf.mode_make(0, 1, spec), sf.mode_make(1, 1, spec)
+    psi0 = oracle.grid_from_sampler(
+        lambda r, th: (pg.phi_exact(a, spec, r, th, 0.0) + pg.phi_exact(b, spec, r, th, 0.0))
+        / math.sqrt(2.0), spec.r0, 192, 16)
+    psi = oracle.propagate(pantographic_factory(spec, 192, 16), psi0, 50.0, dt)
+    phase = np.angle(oracle.project(psi, b, spec, 50.0) / oracle.project(psi, a, spec, 50.0))
+    assert 0.9 * 64.0 * dt**2 <= phase <= 64.0 * dt**2
+
+
 def test_propagate_norm_conservation(dilating_spec):
     spec = dilating_spec
     mode = sf.mode_make(1, 1, spec)
@@ -236,6 +252,15 @@ def test_propagate_dt_halving_stability(dilating_spec):
     b = oracle.propagate(fac, psi0, 1.0, 2.5e-4)
     l2 = math.sqrt(abs(a.inner(a).real + b.inner(b).real - 2 * a.inner(b).real))
     assert l2 < 1e-6
+
+
+def test_propagate_rejects_a_non_finite_psi0():
+    # one nan sample spread to 496 of the 512 values of a 32 x 16 run
+    values = np.ones((32, 16), dtype=complex)
+    values[3, 4] = math.nan
+    psi0 = oracle.GridWavefunction(values, 1.0)
+    with pytest.raises(ValueError, match="psi0 must be finite"):
+        oracle.propagate(_never_called, psi0, 1.0, 0.1)
 
 
 def test_propagate_solver_failure_raises(deformed_spec):
@@ -375,6 +400,33 @@ def test_deformed_cn_wakes_no_blas_thread():
     for main, workers in growth:
         assert workers <= 0.05 * main, growth
     assert sparse == []
+
+
+@given(seed=st.integers(0, 2**32 - 1), nr=st.integers(16, 64),
+       ntheta=st.integers(8, 32).map(lambda k: 2 * k), epsilon=st.floats(0.0, 0.45),
+       kappa=st.floats(0.02, 0.3), t=st.floats(0.0, 5.0))
+@example(seed=0, nr=64, ntheta=32, epsilon=0.3, kappa=0.1, t=1.3)
+def test_apply_heff_commutes_with_the_reflection(seed, nr, ntheta, epsilon, kappa, t):
+    # theta -> -theta maps the ellipse onto itself: grid column j -> -j mod ntheta
+    spec = DomainSpec(kappa=kappa, gamma=5.0 * kappa, epsilon=epsilon)
+    op = deformed_factory(spec, nr, ntheta)(t)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(nr, ntheta)) + 1j * rng.normal(size=(nr, ntheta))
+    mirror = -np.arange(ntheta) % ntheta
+    hv = oracle.apply_heff(op, oracle.GridWavefunction(values, spec.r0, t)).values
+    hmv = oracle.apply_heff(op, oracle.GridWavefunction(values[:, mirror], spec.r0, t)).values
+    assert np.max(np.abs(hmv - hv[:, mirror])) <= 1e-13 * np.max(np.abs(hv))
+
+
+def test_deformed_cn_populates_mirror_modes_equally():
+    # from (0,1) the state stays even in theta, so P(+1, n) = P(-1, n)
+    spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.3)
+    psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
+    psi = oracle.propagate(deformed_factory(spec, 32, 16), psi0, 2.0, 0.05)
+    for n in (1, 2, 3):
+        plus, minus = (abs(oracle.project(psi, sf.mode_make(m, n, spec), spec, 2.0)) ** 2
+                       for m in (1, -1))
+        assert plus > 1e-4 and abs(plus - minus) <= 1e-14
 
 
 def test_non_finite_boundary_raises_naming_the_time():
