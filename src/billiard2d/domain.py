@@ -59,25 +59,25 @@ class DomainSpec:
         _check_fields(self, ("mu", "hbar", "r0"), ("epsilon", "gamma"), ("kappa",))
 
     def lam(self, t):
-        return 1.0 + self.kappa * np.asarray(t, dtype=float)
+        return _lam(self.kappa, t)
 
     def lamdot(self, t):
         return self.kappa * np.ones_like(np.asarray(t, dtype=float))
 
     def g(self, t):
         if self.schedule is not None:
-            return self.schedule.g(t)
+            return _finite_schedule(self.schedule.g(t), t)
         return 1.0 - np.exp(-self.gamma * np.asarray(t, dtype=float))
 
     def gdot(self, t):
         if self.schedule is not None:
-            return self.schedule.gdot(t)
+            return _finite_schedule(self.schedule.gdot(t), t)
         return self.gamma * np.exp(-self.gamma * np.asarray(t, dtype=float))
 
 
-def _check_span(spec, t) -> None:
-    """Reject any time t outside the span [0, t_c) on which the box of
-    ``spec`` (a DomainSpec or a oned.Box1DSpec: both have lambda = 1 + kappa t)
+def _lam(kappa: float, t):
+    """lambda(t) = 1 + kappa t of DomainSpec and oned.Box1DSpec, after a
+    ValueError naming the first t outside the span [0, t_c) on which the box
     exists (t_c = -1/kappa when kappa < 0, infinite otherwise).
 
     Each t must be finite and nonnegative with lambda(t) > 0.  lambda is
@@ -85,31 +85,37 @@ def _check_span(spec, t) -> None:
     when it is positive at t.
     """
     t = np.asarray(t, dtype=float)
-    bad = ~(np.isfinite(t) & (t >= 0) & (spec.lam(t) > 0))
+    lam = 1.0 + kappa * t
+    bad = ~(np.isfinite(t) & (t >= 0) & (lam > 0))
     if bad.any():
         tb = float(t[bad][0])
         raise ValueError(
             f"t = {tb!r} is outside the box's span: t must be finite and >= 0, "
-            f"and lambda(t) = 1 + kappa t = {float(spec.lam(tb))!r} > 0 "
+            f"and lambda(t) = 1 + kappa t = {1.0 + kappa * tb!r} > 0 "
             f"(the box collapses at lambda <= 0)")
+    return lam
+
+
+def _finite_schedule(values, t):
+    """A schedule's g or gdot at t; ValueError naming the first t where it is not finite."""
+    t, bad = np.broadcast_arrays(np.asarray(t, dtype=float), ~np.isfinite(values))
+    if bad.any():
+        raise ValueError(f"non-finite boundary eps g or eps gdot at t = {float(t[bad][0])!r}")
+    return values
 
 
 def _box(spec: DomainSpec, t):
     """(lambda, lambda dot, eps g, eps gdot) of the ellipse ``spec`` at t, as
-    Python floats for a scalar t.  ValueError naming the first bad t if t is
-    not a time of the box (see _check_span), if eps g or eps gdot is
-    non-finite or if the domain is not star-shaped (|eps g| >= 1)."""
-    _check_span(spec, t)
+    Python floats for a scalar t.  ValueError naming the first bad t if it is
+    not a time of the box (see DomainSpec.lam and DomainSpec.g) or if the
+    domain is not star-shaped (|eps g| >= 1)."""
     box = (spec.lam(t), spec.lamdot(t), spec.epsilon * spec.g(t), spec.epsilon * spec.gdot(t))
     scalar = not isinstance(box[0], np.ndarray)  # lam of a 0-d t is a numpy scalar
     if scalar:
         box = tuple(map(float, box))
-    valid = (abs(box[2]) < 1.0) & (abs(box[3]) < math.inf)  # False at nan
+    valid = abs(box[2]) < 1.0
     if not (valid if scalar else np.all(valid)):
-        t, eg, egdot = np.broadcast_arrays(t, *box[2:])
-        bad = ~(np.isfinite(eg) & np.isfinite(egdot))
-        if bad.any():
-            raise ValueError(f"non-finite boundary eps g or eps gdot at t = {float(t[bad][0])!r}")
+        t, eg = np.broadcast_arrays(t, box[2])
         bad = np.abs(eg) >= 1.0
         raise ValueError(f"boundary not star-shaped at t = {float(t[bad][0])!r}: "
                          f"|eps g| = {float(abs(eg[bad][0]))!r} >= 1")

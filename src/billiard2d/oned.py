@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _check_fields, _check_span
+from .domain import _check_fields, _lam
 from .oracle import _half_steps, _tridiag_apply, _tridiag_solve
 
 __all__ = [
@@ -48,7 +48,7 @@ class Box1DSpec:
             raise ValueError(f"need at least {MIN_POINTS} grid points")
 
     def lam(self, t):
-        return 1.0 + self.kappa * np.asarray(t, dtype=float)
+        return _lam(self.kappa, t)
 
     @property
     def dx(self) -> float:
@@ -85,8 +85,7 @@ def _interior(spec: Box1DSpec, phi) -> np.ndarray:
 def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
     """[-hbar^2/(2 mu R^2) d_xx + i hbar (Rdot/R)(1/2 + x d_x)] phi.
 
-    ValueError if t is not a time of the box (see domain._check_span)."""
-    _check_span(spec, t)
+    ValueError if t is not a time of the box (see domain.DomainSpec.lam)."""
     return _tridiag_apply(_generator_1d(spec, t), _interior(spec, phi))
 
 
@@ -105,7 +104,7 @@ def energy_rate_1d(spec: Box1DSpec, phi, t: float) -> float:
     check: both sides give -2 Rdot E_n / R^3).  ValueError if t is not a
     time of the box.
     """
-    _check_span(spec, t)
+    lam = float(spec.lam(t))
     phi = _interior(spec, phi)
     edge = max(abs(phi[0]), abs(phi[-1]))
     if edge / (np.abs(phi).max() + 1e-300) > 0.2:
@@ -115,7 +114,6 @@ def energy_rate_1d(spec: Box1DSpec, phi, t: float) -> float:
     # f'(b) with f(b) = 0, nodes marching inward from the wall
     dright = (-48.0 * phi[-1] + 36.0 * phi[-2] - 16.0 * phi[-3] + 3.0 * phi[-4]) / (-12.0 * h)
     dleft = (-48.0 * phi[0] + 36.0 * phi[1] - 16.0 * phi[2] + 3.0 * phi[3]) / (12.0 * h)
-    lam = float(spec.lam(t))
     pref = -spec.hbar**2 * spec.kappa / (2.0 * spec.mu * lam**3)
     return pref * 0.5 * spec.x0 * float(abs(dright) ** 2 + abs(dleft) ** 2)
 
@@ -132,7 +130,7 @@ def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.nd
     frozen at the half step.  ValueError unless dt is finite and > 0, t1 is
     not before t0, both are times of the box and phi is finite."""
     h, steps = _half_steps(t0, t1, dt)
-    _check_span(spec, (t0, t1))
+    spec.lam((t0, t1))  # the steps check only their half-step times
     phi = _interior(spec, phi).copy()
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")

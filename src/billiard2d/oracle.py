@@ -21,9 +21,9 @@ from itertools import accumulate
 import numpy as np
 from scipy.linalg import lapack
 
-from .domain import BoundaryFunction, DomainSpec, _box, _check_span
+from .domain import BoundaryFunction, DomainSpec, _box
 from .pantograph import alpha, beta, phi_exact
-from .specfun import BesselMode, adaptive_quad_vec, radial_profile
+from .specfun import BesselMode, _check_modes, adaptive_quad_vec, radial_profile
 
 __all__ = [
     "GridWavefunction",
@@ -526,19 +526,19 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
     With ``dressed=False`` the sandwich is taken between bare eigenmodes.
     ``s`` may be an array of times: the result (each of the three parts with
     ``parts=True``) is then an array of its shape, and a scalar ``s`` gives
-    a ``complex``.  ValueError if a time is not a time of the box (see
-    domain._check_span).
+    a ``complex``.  ValueError if a mode was built for another r0 or a time
+    is not one of the box (see DomainSpec.lam and DomainSpec.g).
     """
-    _check_span(spec, s)
     tgt, src = pair.target, pair.source
+    _check_modes((src, tgt), spec)
     s = np.asarray(s, dtype=float)
+    lam = spec.lam(s)
+    g = spec.g(s)
+    gd = spec.gdot(s)
     # one row of radial samples per time
     a = (alpha(spec, s) if dressed else np.zeros_like(s))[..., None]
     rel = (np.exp(1j * (beta(src, spec, s) - beta(tgt, spec, s)))
            if dressed else 1.0)
-    g = spec.g(s)
-    gd = spec.gdot(s)
-    lam = spec.lam(s)
 
     rule, ut, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, _BRUTE_NR)
     _, us, dus, d2us = radial_profile(abs(src.m), src.n, spec.r0, _BRUTE_NR)
@@ -577,12 +577,12 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
 
 def brute_element_integrated(pair, spec: DomainSpec, t: float,
                              abs_tol: float = 1e-9) -> complex:
-    """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive quadrature of the sandwich."""
-    _check_span(spec, t)  # else the phase's panel split walks into lambda = 0
+    """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive quadrature of the sandwich;
+    the phase's panel split reads lambda(t), and so checks t, before any panel."""
     de = pair.target.energy - pair.source.energy
 
     def phase(s):
-        return de * s / (spec.hbar * (1.0 + spec.kappa * s))
+        return de * s / (spec.hbar * spec.lam(s))
 
     def f(svals):
         return brute_element(pair, spec, svals)
@@ -617,14 +617,14 @@ def fd_energy_rate(trajectory, spec: DomainSpec) -> np.ndarray:
     """4th-order finite-difference d<H1>/dt along a grid trajectory.
 
     Needs a uniform time grid with at least 5 snapshots, each at a time of
-    the box (see domain._check_span); endpoints use one-sided 4th-order
+    the box (see DomainSpec.lam); endpoints use one-sided 4th-order
     stencils.
     """
     snaps = list(trajectory)
     if len(snaps) < 5:
         raise ValueError("need at least 5 snapshots")
     times = np.array([s.time for s in snaps])
-    _check_span(spec, times)
+    spec.lam(times)  # before any snapshot's energy
     hsteps = np.diff(times)
     h = hsteps[0]
     if not np.allclose(hsteps, h, rtol=1e-9, atol=1e-12):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, _check_span
-from .specfun import RADIAL_QUAD_POINTS, BesselMode, _bessel_j_pair, radial_profile
+from .domain import DomainSpec
+from .specfun import RADIAL_QUAD_POINTS, BesselMode, _bessel_j_pair, _check_modes, radial_profile
 
 __all__ = [
     "PantographicState",
@@ -49,7 +49,7 @@ def beta(mode: BesselMode, spec: DomainSpec, t) -> float:
     """
     t = np.asarray(t, dtype=float)
     # 0.0 - x rather than -x, so that beta(0) is +0.0, not -0.0
-    return 0.0 - (mode.energy / spec.hbar) * t / (1.0 + spec.kappa * t)
+    return 0.0 - (mode.energy / spec.hbar) * t / spec.lam(t)
 
 
 def phi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
@@ -59,7 +59,6 @@ def phi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
 
 def psi_exact(mode: BesselMode, spec: DomainSpec, r, theta, t):
     """Moving-picture solution; vanishes on the moving wall r = lam(t) r0."""
-    _check_span(spec, t)  # before dividing by lam
     lam = spec.lam(t)
     return phi_exact(mode, spec, np.asarray(r, dtype=float) / lam, theta, t) / lam
 
@@ -98,10 +97,11 @@ class PantographicState:
     def _angular(self, spec: DomainSpec, theta, t):
         """(mode, c A e^{i(m theta + beta)} / sqrt(2 pi)) for each mode.
 
-        Every field and energy goes through here, so this is where a time the
-        box does not reach is rejected (see _check_span).
+        Every field and energy goes through here, so this is where a mode
+        built for another disk radius is rejected; beta rejects a time the box
+        does not reach (see DomainSpec.lam).
         """
-        _check_span(spec, t)
+        _check_modes(self.modes, spec)
         theta = np.asarray(theta, dtype=float)
         pref = (2.0 * math.pi) ** -0.5
         return [(mode, c * pref * mode.norm
@@ -132,15 +132,6 @@ class PantographicState:
         return self.fields(spec, r, theta, t)[1]
 
 
-def _check_modes(state, spec: DomainSpec) -> None:
-    """Reject a state whose modes were built for another disk radius than spec.r0."""
-    for mode in getattr(state, "modes", ()):
-        if abs(mode.k * spec.r0 - mode.zero) > 1e-12 * mode.zero:
-            raise ValueError(
-                f"mode ({mode.m}, {mode.n}) has k r0 = {mode.k * spec.r0!r}, not its "
-                f"Bessel zero {mode.zero!r}: it was built for another r0 than {spec.r0!r}")
-
-
 def energy_rate(state, spec: DomainSpec, t) -> float:
     """Boundary-contact energy rate for pantographic dilation.
 
@@ -152,8 +143,6 @@ def energy_rate(state, spec: DomainSpec, t) -> float:
     to spec.r0 or t is not a time of the box (negative, non-finite or at
     lambda(t) <= 0).
     """
-    _check_modes(state, spec)
-    _check_span(spec, t)
     theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
     rim, grad = state.fields(spec, spec.r0, theta, t)
     if np.abs(rim).max() > 1e-8:
@@ -178,7 +167,6 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
     the shared radial table.  Raises ValueError when a mode of the state
     does not belong to spec.r0 or t is not a time of the box.
     """
-    _check_modes(state, spec)
     a = alpha(spec, t)
     by_m = {}
     for mode, b in state._angular(spec, 0.0, t):

@@ -161,6 +161,15 @@ def mode_make(m: int, n: int, spec) -> BesselMode:
     return BesselMode(m=int(m), n=int(n), zero=zero, k=k, energy=energy, norm=norm)
 
 
+def _check_modes(modes, spec) -> None:
+    """Reject a mode built for another disk radius than spec.r0."""
+    for mode in modes:
+        if abs(mode.k * spec.r0 - mode.zero) > 1e-12 * mode.zero:
+            raise ValueError(
+                f"mode ({mode.m}, {mode.n}) has k r0 = {mode.k * spec.r0!r}, not its "
+                f"Bessel zero {mode.zero!r}: it was built for another r0 than {spec.r0!r}")
+
+
 @lru_cache(maxsize=512)
 def radial_profile(m_abs: int, n: int, r0: float, npoints: int):
     """``(rule, J, J', J'')`` of mode (+-m_abs, n) on the radial Gauss rule.
@@ -203,14 +212,15 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
 
     ``f(s_array)`` must return an array with the node axis last.  Panels are
     pre-split so the optional ``phase`` function varies by at most pi/4 per
-    panel (oscillatory integrands), then refined by comparing embedded
-    7- and 15-point Gauss rules until the local error estimate is below
+    panel (oscillatory integrands), then refined by comparing 7- and
+    15-point Gauss rules (their nodes are disjoint, so each panel costs 22
+    integrand evaluations) until the local error estimate is below
     ``abs_tol`` scaled by the panel fraction.  Panels still above it at
     ``max_depth`` are accepted with a UserWarning; a non-finite panel
     estimate raises ValueError.
     """
-    if b < a:
-        raise ValueError("need b >= a")
+    if not b >= a:  # also rejects a nan bound
+        raise ValueError(f"need b >= a, got [{a!r}, {b!r}]")
     if b == a:
         probe = np.asarray(f(np.asarray([a if a > 0 else a + 1.0])))
         return np.zeros(probe.shape[:-1], dtype=complex)

@@ -101,7 +101,9 @@ def test_radius_rejects_a_non_finite_schedule():
     for call in (lambda: radius(spec, [0.0, 1.0], 1.5),
                  lambda: radius(spec, 0.0, np.array([0.5, 1.5, 2.0])),
                  lambda: bnd.value(0.0, 1.5),
-                 lambda: moving_inner_product(one, one, bnd, spec, 1.5, nr=8, ntheta=8)):
+                 lambda: moving_inner_product(one, one, bnd, spec, 1.5, nr=8, ntheta=8),
+                 lambda: radius_linearized(spec, 0.0, 1.5),
+                 lambda: oracle.brute_element(_pair(spec), spec, 1.5)):
         with pytest.raises(ValueError, match=r"non-finite boundary eps g or eps gdot at t = 1\.5"):
             call()
     assert np.all(np.isfinite(radius(spec, [0.0, 1.0], 0.5)))
@@ -115,6 +117,10 @@ def _pair(spec):
 # disk (or 1-d box) of the shared span check
 TIMED_ENTRY_POINTS = {
     "radius": lambda spec, t: radius(spec, 0.3, t),
+    "radius_linearized": lambda spec, t: radius_linearized(spec, 0.3, t),
+    "alpha": lambda spec, t: pg.alpha(spec, t),
+    "beta": lambda spec, t: pg.beta(sf.mode_make(0, 1, spec), spec, t),
+    "xi": lambda spec, t: pt.xi(_pair(spec), spec, t),
     "effective_operator": lambda spec, t: oracle.effective_operator(
         BoundaryFunction.deformed_from(spec), spec, t, 16, 16),
     "brute_element": lambda spec, t: oracle.brute_element(_pair(spec), spec, t),
@@ -126,6 +132,8 @@ TIMED_ENTRY_POINTS = {
     "amplitudes": lambda spec, t: pt.amplitudes(
         _pair(spec).source, [_pair(spec).target], spec, [0.0, t]),
     "element": lambda spec, t: pt.element(_pair(spec), spec, t),
+    "element_forbidden": lambda spec, t: pt.element(
+        pt.ModePair(source=sf.mode_make(0, 1, spec), target=sf.mode_make(2, 1, spec)), spec, t),
     "f_integral": lambda spec, t: pt.f_integral(1, _pair(spec), spec, t),
     "phi_exact": lambda spec, t: pg.phi_exact(sf.mode_make(0, 1, spec), spec, 0.5, 0.0, t),
     "energy_rate": lambda spec, t: pg.energy_rate(
@@ -147,6 +155,32 @@ def test_every_timed_entry_point_rejects_a_time_past_the_collapse(name):
             else DomainSpec(kappa=-0.5, gamma=0.5, epsilon=0.05))
     with pytest.raises(ValueError, match=re.escape("t = 3.0 is outside the box's span")):
         TIMED_ENTRY_POINTS[name](spec, 3.0)
+
+
+# every public entry point that reads a mode against a spec, called with the
+# (0,1) -> (1,1) pair of the r0 = 1 disk on an r0 = 2 spec
+_UNIT_DISK = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.05)
+OTHER_DISK_ENTRY_POINTS = {
+    "amplitudes": lambda spec, pair: pt.amplitudes(pair.source, [pair.target], spec, [0.0, 2.0]),
+    "element": lambda spec, pair: pt.element(pair, spec, 2.0),
+    "f_integral": lambda spec, pair: pt.f_integral(1, pair, spec, 2.0),
+    "w_integral": lambda spec, pair: pt.w_integral(2, pair, spec),
+    "phi_exact": lambda spec, pair: pg.phi_exact(pair.source, spec, 0.5, 0.0, 2.0),
+    "psi_exact": lambda spec, pair: pg.psi_exact(pair.source, spec, 0.5, 0.0, 2.0),
+    "project": lambda spec, pair: oracle.project(
+        oracle.GridWavefunction(np.ones((16, 16)), spec.r0, 2.0), pair.source, spec, 2.0),
+    "brute_element": lambda spec, pair: oracle.brute_element(pair, spec, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_DISK_ENTRY_POINTS)
+def test_every_mode_entry_point_rejects_a_mode_of_another_disk(name):
+    # with r0 = 1 modes on the r0 = 2 disk, the (0,1) -> (1,1) population at
+    # t = 20 read 0.0239 where matching modes give 3.48e-4
+    wider = dataclasses.replace(_UNIT_DISK, r0=2.0)
+    with pytest.raises(ValueError, match="another r0"):
+        OTHER_DISK_ENTRY_POINTS[name](wider, _pair(_UNIT_DISK))
+    OTHER_DISK_ENTRY_POINTS[name](wider, _pair(wider))
 
 
 def test_radius_linearized_first_order(deformed_spec):
