@@ -200,6 +200,11 @@ class GridWavefunction:
         return self.values.shape[1]
 
     @property
+    def grid(self) -> tuple:
+        """(nr, ntheta, r0): fields and operators combine only on one grid."""
+        return self.nr, self.ntheta, self.r0
+
+    @property
     def dr(self) -> float:
         return self.r0 / (self.nr - 0.5)
 
@@ -210,6 +215,9 @@ class GridWavefunction:
         return _grid_thetas(self.ntheta)
 
     def inner(self, other: "GridWavefunction") -> complex:
+        if other.grid != self.grid:
+            raise ValueError(f"inner product across grids: (nr, ntheta, r0) = {self.grid} "
+                             f"and {other.grid}")
         w = self.radii() * self.dr * (2.0 * math.pi / self.ntheta)
         return complex(np.sum(np.conjugate(self.values) * other.values * w[:, None]))
 
@@ -273,6 +281,10 @@ class EffectiveOperator:
         # no Delta m coupling and no dil rest: the blocks are the operator
         self.theta_constant = not self._couplings and self._rest is None
 
+    @property
+    def grid(self) -> tuple:
+        return self.nr, self.ntheta, self.r0
+
     def radii(self) -> np.ndarray:
         return _grid_radii(self.nr, self.r0)
 
@@ -333,7 +345,7 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
 
 def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction:
     """H_eff applied on the grid; Dirichlet row re-imposed on the result."""
-    if (psi.nr, psi.ntheta) != (op.nr, op.ntheta) or psi.r0 != op.r0:
+    if psi.grid != op.grid:
         raise ValueError("grid mismatch between operator and wavefunction")
     values = np.zeros(psi.values.shape, dtype=complex)
     values[:-1] = np.fft.ifft(op.apply(np.fft.fft(psi.values[:-1], axis=1)), axis=1)
@@ -490,9 +502,9 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
     prev = None
     for t_half, t in steps:
         op = op_factory(t_half)
-        if (op.nr, op.ntheta, op.r0) != (psi0.nr, psi0.ntheta, psi0.r0):
-            raise ValueError(f"operator grid (nr, ntheta, r0) = {(op.nr, op.ntheta, op.r0)} "
-                             f"is not the wavefunction's {(psi0.nr, psi0.ntheta, psi0.r0)}")
+        if op.grid != psi0.grid:
+            raise ValueError(f"operator grid (nr, ntheta, r0) = {op.grid} "
+                             f"is not the wavefunction's {psi0.grid}")
         scale = 1j * h / (2.0 * op.hbar)
         b = x - scale * op.apply(x.T).T
         if op.theta_constant:
@@ -595,10 +607,12 @@ def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,
     """<phi_mode_exact(t), psi> under grid quadrature.
 
     Projection onto the co-moving exact solution, so pantographic evolution
-    keeps |project|^2 constant and the square is the mode population.
+    keeps |project|^2 constant and the square is the mode population.  The
+    reference is sampled on spec.r0's grid, so psi on another disk raises
+    ValueError naming both grids.
     """
-    ref = phi_exact(mode, spec, psi.radii()[:, None], psi.thetas()[None, :], t)
-    return GridWavefunction(np.broadcast_to(ref, psi.values.shape), psi.r0, t).inner(psi)
+    return grid_from_sampler(lambda r, theta: phi_exact(mode, spec, r, theta, t),
+                             spec.r0, psi.nr, psi.ntheta, t).inner(psi)
 
 
 def _h1_mean_energy(psi: GridWavefunction, spec: DomainSpec) -> float:

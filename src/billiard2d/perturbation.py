@@ -88,12 +88,12 @@ def _omega(pair: ModePair, spec: DomainSpec) -> float:
     return (pair.target.energy - pair.source.energy) / spec.hbar
 
 
-def _w_values(pair: ModePair, spec: DomainSpec, npoints: int) -> tuple:
+def _w_values(pair: ModePair, spec: DomainSpec) -> tuple:
     """W^(1)..W^(4) of a pair from the shared radial table (see w_integral)."""
     tgt, src = pair.target, pair.source
     _check_modes((src, tgt), spec)
-    rule, jt, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, npoints)
-    _, js, djs, _ = radial_profile(abs(src.m), src.n, spec.r0, npoints)
+    rule, jt, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, RADIAL_QUAD_POINTS)
+    _, js, djs, _ = radial_profile(abs(src.m), src.n, spec.r0, RADIAL_QUAD_POINTS)
     r, w = rule.nodes, rule.weights
     aa = tgt.norm * src.norm
     return (float(aa * np.sum(w * jt * (js / r + djs))),
@@ -102,9 +102,9 @@ def _w_values(pair: ModePair, spec: DomainSpec, npoints: int) -> tuple:
             float(aa * np.sum(w * r**2 * jt * djs)))
 
 
-def w_integral(k: int, pair: ModePair, spec: DomainSpec,
-               npoints: int = RADIAL_QUAD_POINTS) -> float:
-    """Radial integral W^(k), k in 1..4, with the analytic Bessel derivative.
+def w_integral(k: int, pair: ModePair, spec: DomainSpec) -> float:
+    """Radial integral W^(k), k in 1..4, with the analytic Bessel derivative,
+    on the module's RADIAL_QUAD_POINTS-node Gauss rule (read at call time).
 
     W1 = A A' int J (1/r + d_r) J' dr        (measure dr)
     W2 = A A' int r J J' dr
@@ -121,7 +121,7 @@ def w_integral(k: int, pair: ModePair, spec: DomainSpec,
         raise ValueError("w_integral index must be 1..4")
     if k == 1 and abs(pair.target.m) == 0 and abs(pair.source.m) == 0:
         raise ValueError("W1 diverges between two m=0 modes (selection-forbidden)")
-    return _w_values(pair, spec, npoints)[k - 1]
+    return _w_values(pair, spec)[k - 1]
 
 
 _LEVIN_POINTS = 48      # Chebyshev-Lobatto points per Levin panel
@@ -131,16 +131,16 @@ _ROUNDOFF_TAIL = 64 * 2.0**-52  # tail of an h resolved to rounding (64 ulp of m
 
 
 @lru_cache(maxsize=None)
-def _levin_table(npoints: int) -> tuple:
+def _levin_table() -> tuple:
     """Chebyshev-Lobatto nodes on [-1, 1] (ascending), their barycentric
     weights, the differentiation matrix and the rows that map values to the
     trailing Chebyshev coefficients (Trefethen, Spectral Methods in MATLAB)."""
-    n = npoints - 1
-    j = np.arange(npoints)
+    n = _LEVIN_POINTS - 1
+    j = np.arange(_LEVIN_POINTS)
     x = np.sin(np.pi * (2 * j - n) / (2 * n))
     w = (-1.0) ** j
     w[[0, n]] *= 0.5
-    dx = x[:, None] - x[None, :] + np.eye(npoints)
+    dx = x[:, None] - x[None, :] + np.eye(_LEVIN_POINTS)
     diff = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(diff, 0.0)
     np.fill_diagonal(diff, -diff.sum(axis=1))
@@ -214,7 +214,7 @@ def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
             edges.append(0.5 * (edges[-1] + 1.0 / ld))
     edges.append(u_end)
 
-    x, w, diff, tail = _levin_table(_LEVIN_POINTS)
+    x, w, diff, tail = _levin_table()
     eye = np.eye(_LEVIN_POINTS)
     limit = tol / u_end
     carry = np.zeros((len(omegas), 5), dtype=complex)
@@ -255,12 +255,12 @@ def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
     return out
 
 
-def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float,
-               abs_tol: float = _F_TOL) -> complex:
-    """Oscillatory time integral F^(k)(t), k in 1..5, to abs_tol."""
+def f_integral(k: int, pair: ModePair, spec: DomainSpec, t: float) -> complex:
+    """Oscillatory time integral F^(k)(t), k in 1..5, to the module's
+    absolute error _F_TOL (read at call time, as element and amplitudes do)."""
     if k not in (1, 2, 3, 4, 5):
         raise ValueError("f_integral index must be 1..5")
-    return complex(_f_values([_omega(pair, spec)], spec, [t], abs_tol)[0, 0, k - 1])
+    return complex(_f_values([_omega(pair, spec)], spec, [t], _F_TOL)[0, 0, k - 1])
 
 
 def _assemble(pair: ModePair, spec: DomainSpec, fvals, wvals) -> tuple:
@@ -295,7 +295,7 @@ def element(pair: ModePair, spec: DomainSpec, t: float) -> ElementBreakdown:
     if not pair.allowed:
         return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
     fvals = _f_values([_omega(pair, spec)], spec, [t], _F_TOL)[0]
-    wvals = _w_values(pair, spec, RADIAL_QUAD_POINTS)
+    wvals = _w_values(pair, spec)
     h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, wvals))
     return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals[0])),
                             wvals=tuple(wvals))
@@ -343,7 +343,7 @@ def amplitudes(initial: BesselMode, targets, spec: DomainSpec, times) -> Amplitu
         if not p.allowed:
             table.entries[p.target] = np.full(len(times), delta, dtype=complex)
             continue
-        wvals = _w_values(p, spec, RADIAL_QUAD_POINTS)
+        wvals = _w_values(p, spec)
         table.entries[p.target] = delta - 1j / spec.hbar * sum(
             _assemble(p, spec, next(fvals), wvals))
     leak = table.leakage()

@@ -35,6 +35,8 @@ __all__ = [
 # Default order of the radial Gauss-Legendre rule; doubling it must not move
 # any reported integral by more than ~1e-10 (convergence guard in the tests).
 RADIAL_QUAD_POINTS = 128
+# Bisections of an adaptive_quad_vec panel before it is accepted with a warning.
+_QUAD_MAX_DEPTH = 48
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,7 @@ def eigenmode_value(mode: BesselMode, r, theta):
     return (2.0 * math.pi) ** -0.5 * mode.norm * radial * ang
 
 
-def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
-                      max_depth: int = 48):
+def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None):
     """Adaptive Gauss quadrature of a vector-valued complex integrand.
 
     ``f(s_array)`` must return an array with the node axis last.  Panels are
@@ -215,30 +216,14 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
     panel (oscillatory integrands), then refined by comparing 7- and
     15-point Gauss rules (their nodes are disjoint, so each panel costs 22
     integrand evaluations) until the local error estimate is below
-    ``abs_tol`` scaled by the panel fraction.  Panels still above it at
-    ``max_depth`` are accepted with a UserWarning; a non-finite panel
-    estimate raises ValueError.
+    ``abs_tol`` scaled by the panel fraction.  A zero-width interval is one
+    panel: ``f`` is evaluated only at ``a``, and the result is zeros.  Panels
+    still above the tolerance after the module's ``_QUAD_MAX_DEPTH``
+    bisections (read at call time) are accepted with a UserWarning; a
+    non-finite panel estimate raises ValueError.
     """
     if not b >= a:  # also rejects a nan bound
         raise ValueError(f"need b >= a, got [{a!r}, {b!r}]")
-    if b == a:
-        probe = np.asarray(f(np.asarray([a if a > 0 else a + 1.0])))
-        return np.zeros(probe.shape[:-1], dtype=complex)
-
-    # initial panels capped by phase variation
-    edges = [a]
-    if phase is not None:
-        s = a
-        while s < b:
-            step = b - s
-            while abs(phase(s + step) - phase(s)) > 0.25 * math.pi and step > (b - a) * 1e-12:
-                step *= 0.5
-            s = min(s + step, b)
-            edges.append(s)
-        edges[-1] = b
-    else:
-        edges.append(b)
-
     x7, w7 = _legendre_rule_unit(7)
     x15, w15 = _legendre_rule_unit(15)
     total_width = b - a
@@ -252,26 +237,36 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None,
         i7 = half * (v7 @ w7)
         return i15, np.max(np.abs(i15 - i7))
 
-    total = None
+    # initial panels from a to b, each capped by the phase variation
+    stack, lo = [], a
+    while not stack or lo < b:
+        step = b - lo
+        while (phase is not None and abs(phase(lo + step) - phase(lo)) > 0.25 * math.pi
+               and step > total_width * 1e-12):
+            step *= 0.5
+        stack.append((lo, min(lo + step, b), 0))
+        lo = stack[-1][1]
+
+    total = 0.0
     unconverged = []
-    stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
     while stack:
         lo, hi, depth = stack.pop()
         val, err = panel(lo, hi)
         if not math.isfinite(err):  # also catches a non-finite val
             raise ValueError(f"non-finite integrand estimate on [{lo!r}, {hi!r}]")
-        if err > abs_tol * max((hi - lo) / total_width, 1e-3):
-            if depth < max_depth:
+        # err > 0 first: a zero-width interval has no panel fraction
+        if err > 0 and err > abs_tol * max((hi - lo) / total_width, 1e-3):
+            if depth < _QUAD_MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
                 stack.append((lo, mid, depth + 1))
                 stack.append((mid, hi, depth + 1))
                 continue
             unconverged.append((lo, hi))
-        total = val if total is None else total + val
+        total = total + val
     if unconverged:
         lo = min(p[0] for p in unconverged)
         hi = max(p[1] for p in unconverged)
         warnings.warn(f"adaptive_quad_vec: {len(unconverged)} panel(s) in "
-                      f"[{lo!r}, {hi!r}] reached max_depth={max_depth} above "
+                      f"[{lo!r}, {hi!r}] reached max_depth={_QUAD_MAX_DEPTH} above "
                       "their error tolerance", UserWarning, stacklevel=2)
     return total

@@ -301,35 +301,36 @@ def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
                        epsilon=0.05)
     moved = {}
 
-    # radial quadrature doubling: W integrals (claimed stability 1e-10)
+    # the W, F and TDPT-population settings, at their defaults and with the
+    # radial rule doubled and the F tolerance tightened 4x (module settings,
+    # read at call time by w_integral, f_integral and amplitudes)
     pair = pt.ModePair(source=sf.mode_make(0, 1, spec5),
                        target=sf.mode_make(1, 2, spec5))
-    moved["w_integrals"] = max(
-        abs(pt.w_integral(k, pair, spec5, 128) - pt.w_integral(k, pair, spec5, 256))
-        for k in (1, 2, 3, 4))
-    assert moved["w_integrals"] < 10 * 1e-10
-
-    # time-integration tolerance tightened 4x: F integrals (claimed 1e-10)
-    moved["f_integrals"] = max(
-        abs(pt.f_integral(k, pair, spec5, 5.0, abs_tol=1e-10)
-            - pt.f_integral(k, pair, spec5, 5.0, abs_tol=2.5e-11))
-        for k in (1, 2, 3, 4, 5))
-    assert moved["f_integrals"] < 10 * 1e-10
-
-    # TDPT populations: quadrature + tolerance tightening moves them < 1e-6
     initial = sf.mode_make(0, 1, spec5)
     targets = [sf.mode_make(1, n, spec5) for n in range(1, 5)]
     times = np.linspace(0.0, 50.0, 6)
-    ta = pt.amplitudes(initial, targets, spec5, times)
+
+    def guarded():
+        return ([pt.w_integral(k, pair, spec5) for k in (1, 2, 3, 4)],
+                [pt.f_integral(k, pair, spec5, 5.0) for k in (1, 2, 3, 4, 5)],
+                pt.amplitudes(initial, targets, spec5, times))
+
     assert (pt.RADIAL_QUAD_POINTS, pt._F_TOL) == (128, 1e-10)
+    wa, fa, ta = guarded()
     monkeypatch.setattr(pt, "RADIAL_QUAD_POINTS", 256)
     monkeypatch.setattr(pt, "_F_TOL", 2.5e-11)
-    tb = pt.amplitudes(initial, targets, spec5, times)
+    wb, fb, tb = guarded()
     monkeypatch.undo()
+    # > 0: the patched rule was used (Levin's F reads 0 here: it resolves
+    # these integrands to rounding at either tolerance)
+    moved["w_integrals"] = max(abs(a - b) for a, b in zip(wa, wb))
+    assert 0.0 < moved["w_integrals"] < 10 * 1e-10  # claimed stability 1e-10
+    moved["f_integrals"] = max(abs(a - b) for a, b in zip(fa, fb))
+    assert moved["f_integrals"] < 10 * 1e-10  # claimed 1e-10
     moved["populations"] = max(
         float(np.max(np.abs(ta.population(t) - tb.population(t))))
         for t in targets)
-    assert 0.0 < moved["populations"] < 1e-6  # > 0: the patched settings were used
+    assert 0.0 < moved["populations"] < 1e-6
 
     # CN benchmark: halving dt moves the tracked fidelity by < 10x its
     # claimed tolerance (1e-4)

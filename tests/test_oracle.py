@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,26 @@ def test_apply_heff_rejects_coarse_grid(unit_spec):
     bad = oracle.GridWavefunction(np.zeros((16, 16), complex), 1.0)
     with pytest.raises(ValueError, match="mismatch"):
         oracle.apply_heff(op, bad)
+
+
+@pytest.mark.parametrize("shape, r0", [((32, 16), 2.0), ((48, 16), 1.0), ((32, 20), 1.0)])
+def test_inner_rejects_a_field_on_another_grid(shape, r0):
+    # with r0 = 2 against r0 = 1 the weights were the caller's: 3.04 one way, 12.17 the other
+    a = oracle.GridWavefunction(np.ones((32, 16)), 1.0)
+    b = oracle.GridWavefunction(np.ones(shape), r0)
+    other = re.escape(str((*shape, r0)))
+    with pytest.raises(ValueError, match=rf"\(32, 16, 1\.0\) and {other}"):
+        a.inner(b)
+    with pytest.raises(ValueError, match=rf"{other} and \(32, 16, 1\.0\)"):
+        b.inner(a)
+
+
+def test_project_rejects_a_state_on_another_disk():
+    # the (0,1) state of the r0 = 1 disk read 0.715 on the r0 = 2 (0,1) mode
+    small, large = DomainSpec(r0=1.0), DomainSpec(r0=2.0)
+    psi = sample_mode(sf.mode_make(0, 1, small), small, 0.0, 64, 16)
+    with pytest.raises(ValueError, match=r"\(64, 16, 2\.0\) and \(64, 16, 1\.0\)"):
+        oracle.project(psi, sf.mode_make(0, 1, large), large, 0.0)
 
 
 def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
@@ -682,6 +703,13 @@ def test_brute_element_at_release_time(deformed_spec):
     h1, h2, h3 = oracle.brute_element(p, deformed_spec, 0.0, parts=True)
     assert h1 == 0j and h3 == 0j
     assert abs(h2) > 1e-4
+
+
+def test_brute_element_integrated_over_no_time_is_zero():
+    # the zero-width quadrature used to probe t = 1, past this box's collapse at t = 0.5
+    spec = DomainSpec(kappa=-2.0, gamma=0.5, epsilon=0.05)
+    p = pt.ModePair(source=sf.mode_make(0, 1, spec), target=sf.mode_make(1, 1, spec))
+    assert oracle.brute_element_integrated(p, spec, 0.0) == 0
 
 
 def test_brute_element_array_matches_scalar_calls(deformed_spec):

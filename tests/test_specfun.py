@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from billiard2d import specfun as sf
 from conftest import bisect_series_zero, series_bessel_j, simpson
@@ -258,13 +260,50 @@ def test_adaptive_quad_vec_polynomial_and_oscillatory():
     assert abs(got[0] - exact) < 1e-11
 
 
+@pytest.mark.parametrize("a", [0.25, 0.0])  # at a <= 0 it used to probe a + 1
+def test_adaptive_quad_vec_zero_width_is_one_panel_at_a(a):
+    seen = []
+
+    def f(s):
+        seen.append(np.array(s))
+        return np.stack([s, np.exp(s), np.cos(40.0 * s)])
+
+    for phase in (None, lambda s: 40.0 * s):
+        seen.clear()
+        got = sf.adaptive_quad_vec(f, a, a, 1e-12, phase=phase)
+        assert got.shape == (3,) and np.all(got == 0)
+        assert seen and np.all(np.concatenate(seen) == a)
+
+
+@given(a=st.floats(-3.0, 3.0), width=st.floats(0.0, 4.0),
+       split=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       w=st.floats(0.0, 30.0), use_phase=st.booleans())
+@example(a=0.0, width=2.0, split=0.0, w=5.0, use_phase=True)
+@example(a=0.0, width=2.0, split=1.0, w=5.0, use_phase=False)
+@example(a=-1.0, width=0.0, split=0.5, w=0.0, use_phase=False)
+def test_adaptive_quad_vec_is_additive_over_a_split(a, width, split, w, use_phase):
+    # int_a^c + int_c^b = int_a^b for a <= c <= b, the ends included
+    b = a + width
+    c = b if split == 1.0 else min(a + split * width, b)
+    tol = 1e-10
+
+    def f(s):
+        return np.stack([np.exp(1j * w * s), np.exp(-0.5 * s * s), s**3 - s])
+
+    phase = (lambda s: w * s) if use_phase else None
+    parts = [sf.adaptive_quad_vec(f, lo, hi, tol, phase=phase)
+             for lo, hi in ((a, c), (c, b), (a, b))]
+    assert np.max(np.abs(parts[0] + parts[1] - parts[2])) <= 3 * tol
+
+
 def _inverse_sqrt_singularity(s):
     return np.abs(s - math.pi / 10)[None, :] ** -0.5
 
 
-def test_adaptive_quad_vec_warns_at_depth_limit():
+def test_adaptive_quad_vec_warns_at_depth_limit(monkeypatch):
+    monkeypatch.setattr(sf, "_QUAD_MAX_DEPTH", 10)
     with np.errstate(divide="ignore"), pytest.warns(UserWarning, match=r"max_depth=10"):
-        sf.adaptive_quad_vec(_inverse_sqrt_singularity, 0.0, 1.0, 1e-12, max_depth=10)
+        sf.adaptive_quad_vec(_inverse_sqrt_singularity, 0.0, 1.0, 1e-12)
 
 
 def test_adaptive_quad_vec_rejects_non_finite_panels():
