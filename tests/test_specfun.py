@@ -284,7 +284,7 @@ def test_adaptive_quad_vec_zero_width_is_one_panel_at_a(a):
 def test_adaptive_quad_vec_is_additive_over_a_split(a, width, split, w, use_phase):
     # int_a^c + int_c^b = int_a^b for a <= c <= b, the ends included
     b = a + width
-    c = b if split == 1.0 else min(a + split * width, b)
+    c = min(a + split * width, b)  # split = 1 gives c = b exactly
     tol = 1e-10
 
     def f(s):
