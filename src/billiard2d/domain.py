@@ -182,6 +182,12 @@ def to_moving(phi: Callable, boundary: BoundaryFunction, t: float) -> Callable:
     return psi
 
 
+def _check_ntheta(ntheta: int) -> None:
+    """The uniform angular rule needs at least one node."""
+    if not ntheta >= 1:
+        raise ValueError(f"ntheta must be >= 1, got {ntheta!r}")
+
+
 def disk_inner_product(f: Callable, g: Callable, spec: DomainSpec,
                        nr: int = 128, ntheta: int = 256) -> complex:
     """<f, g> over the fixed disk, Gauss-Legendre in r, uniform rule in theta.
@@ -189,7 +195,9 @@ def disk_inner_product(f: Callable, g: Callable, spec: DomainSpec,
     f and g get the open grid ``r[:, None]``, ``theta[None, :]``, so a
     separable field evaluates its radial factor once per radius; a product
     that does not depend on theta is broadcast to all ntheta columns.
+    ValueError unless ntheta >= 1.
     """
+    _check_ntheta(ntheta)
     rule = gauss_legendre(nr, 0.0, spec.r0)
     r = rule.nodes[:, None]
     theta = np.arange(ntheta)[None, :] * (2.0 * math.pi / ntheta)
@@ -203,8 +211,9 @@ def moving_inner_product(f: Callable, g: Callable, boundary: BoundaryFunction,
     """<f, g> over the moving star domain r <= R(theta, t) r0.
 
     The radial rule is rescaled per theta node so the outer limit follows
-    the boundary exactly.
+    the boundary exactly.  ValueError unless ntheta >= 1.
     """
+    _check_ntheta(ntheta)
     rule = gauss_legendre(nr, 0.0, 1.0)
     theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
     rmax = boundary.value(theta, t) * spec.r0          # (ntheta,)

@@ -10,6 +10,7 @@ sign structure.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ class Box1DSpec:
 
     def __post_init__(self):
         _check_fields(self, ("mu", "hbar", "x0"), signed=("kappa",))
+        if not isinstance(self.nx, numbers.Integral):
+            raise ValueError(f"nx must be an integer number of grid points, got {self.nx!r}")
         if self.nx < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} grid points")
 

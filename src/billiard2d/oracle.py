@@ -163,9 +163,12 @@ def _tridiag_solve(bands: np.ndarray, scale: complex, rhs: np.ndarray) -> np.nda
 def _half_steps(t0: float, t1: float, dt: float):
     """h and each (half-step time, end time) of the CN grid from t0 to t1:
     max(1, round(span / dt)) steps, none if t1 == t0, times accumulated as
-    t + h/2, t += h.  ValueError unless dt is finite and > 0 and t1 >= t0."""
+    t + h/2, t += h.  ValueError unless dt is finite and > 0, t1 is finite and
+    t1 >= t0."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1}")
     if not t1 >= t0:
         raise ValueError(f"t1 = {t1} is before the start time {t0}")
     nsteps = max(1, round((t1 - t0) / dt)) if t1 > t0 else 0

@@ -1,15 +1,18 @@
 """Special-function kernel: integer-order Bessel J, its zeros, disk
 eigenmodes and Gauss-Legendre quadrature.
 
-J_m comes from ``scipy.special.jv`` and the zeros from
-``scipy.special.jn_zeros``, both imported lazily; the Gauss-Legendre nodes
-from ``numpy.polynomial.legendre.leggauss``, and mode norms from their
-closed form.  All routines are pure functions; cached tables are read-only.
+J_m comes from the C math library's ``jn(int, double)`` (POSIX), bound once
+with ctypes, and its zeros from a sign-change scan and bisection on the same
+``jn``; the Gauss-Legendre nodes from ``numpy.polynomial.legendre.leggauss``,
+and mode norms from their closed form.  All routines are pure functions;
+cached tables are read-only.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +40,21 @@ __all__ = [
 RADIAL_QUAD_POINTS = 128
 # Bisections of an adaptive_quad_vec panel before it is accepted with a warning.
 _QUAD_MAX_DEPTH = 48
+# Mode indices |m| and n stay below this: jn costs O(m) per call, and the scan
+# for the n-th zero takes about n steps.
+_MAX_INDEX = 5000
+
+
+# J_m from the C math library's jn(int, double), which the interpreter has
+# already loaded (it links libm; musl and macOS keep it in libc).
+try:
+    _jn = ctypes.CDLL(None).jn
+except AttributeError:
+    raise ImportError("billiard2d.specfun needs the C math library's jn(int, double), "
+                      "and no loaded library exports the symbol 'jn'") from None
+_jn.restype = ctypes.c_double
+_jn.argtypes = (ctypes.c_int, ctypes.c_double)
+_jn_ufunc = np.frompyfunc(_jn, 2, 1)  # object-dtype result; callers cast to float
 
 
 @dataclass(frozen=True)
@@ -64,27 +82,32 @@ class QuadratureRule:
 def bessel_j_all(nmax: int, x) -> np.ndarray:
     """J_0(x) .. J_nmax(x) for finite x >= 0, shape (nmax + 1, *shape(x)).
 
-    One ``scipy.special.jv`` call with the orders broadcast against x (scipy
-    imported here, so that importing the package loads no scipy module).
-    Callers pass each distinct radius once: fields are a radial factor times
-    an angular one.  Raises ValueError naming a negative or non-finite x.
+    Each distinct x is evaluated once.  Raises ValueError naming a negative
+    or non-finite x.
     """
+    return _bessel_rows(range(nmax + 1), np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+def _bessel_rows(orders, x) -> np.ndarray:
+    """J_k(x) for each k in `orders`, shape (len(orders), *shape(x)), from
+    ``jn`` at each distinct x once (a field on an (r, theta) mesh repeats
+    every radius); ValueError naming a negative or non-finite x."""
     xarr = np.asarray(x, dtype=float)
     bad = ~((xarr >= 0) & np.isfinite(xarr))
     if np.any(bad):
-        raise ValueError(
-            f"bessel_j_all requires finite x >= 0, got {float(xarr[bad].flat[0])!r}")
-    from scipy.special import jv
-
-    xs = np.atleast_1d(xarr)
-    return jv(np.arange(nmax + 1).reshape((-1,) + (1,) * xs.ndim), xs)
+        raise ValueError(f"J_m requires finite x >= 0, got {float(xarr[bad].flat[0])!r}")
+    xs, where = np.unique(xarr, return_inverse=True)
+    rows = _jn_ufunc(np.asarray(orders, dtype=int)[:, None], xs).astype(float)
+    return rows[:, where.reshape(xarr.shape)]
 
 
 def _bessel_j_pair(m_abs: int, x):
     """J_{m_abs}(x) and dJ/dx, shaped like x: J'_0 = -J_1, 2 J'_m = J_{m-1} - J_{m+1}."""
-    rows = bessel_j_all(m_abs + 1, x).reshape((m_abs + 2,) + np.shape(x))
-    jp = -rows[1] if m_abs == 0 else 0.5 * (rows[m_abs - 1] - rows[m_abs + 1])
-    return rows[m_abs], jp
+    if m_abs == 0:
+        j, j1 = _bessel_rows((0, 1), x)
+        return j, -j1
+    lower, j, upper = _bessel_rows((m_abs - 1, m_abs, m_abs + 1), x)
+    return j, 0.5 * (lower - upper)
 
 
 def bessel_j(m: int, x):
@@ -96,8 +119,8 @@ def bessel_j(m: int, x):
     if m < 0 or m != int(m):
         raise ValueError("order must be a nonnegative integer")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    vals = bessel_j_all(int(m), x)[int(m)]
-    return float(vals[0]) if scalar else vals
+    vals = _bessel_rows((int(m),), x)[0]
+    return float(vals) if scalar else vals
 
 
 def bessel_j_derivative(m: int, x):
@@ -109,21 +132,47 @@ def bessel_j_derivative(m: int, x):
     return float(jp) if scalar else jp
 
 
-@lru_cache(maxsize=None)
+def _mode_indices(m, n) -> tuple[int, int]:
+    """(m, n) as ints; one ValueError naming (m, n) unless both are integers
+    with |m| and n below _MAX_INDEX and n >= 1."""
+    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)
+            and abs(m) < _MAX_INDEX and 1 <= n < _MAX_INDEX):
+        raise ValueError(f"no Bessel zero for (m, n) = ({m}, {n}): need integers "
+                         f"|m| < {_MAX_INDEX} and 1 <= n < {_MAX_INDEX}")
+    return int(m), int(n)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a float index never hits an int's entry
 def bessel_zero(m: int, n: int) -> float:
-    """n-th positive zero of J_m (n >= 1), from ``scipy.special.jn_zeros``.
+    """n-th positive zero of J_m (m >= 0, n >= 1), both below _MAX_INDEX.
 
-    scipy is imported here, not at module level, so that importing the
-    package does not pay for loading ``scipy.special``.
+    A scan from x = m (J_m has no positive zero below m) in unit steps,
+    below the gap between consecutive zeros (above 3 for every integer
+    order), counts the sign changes of ``jn(m, x)``; the n-th bracket is
+    bisected down to adjacent doubles, and the end with the smaller |J| is
+    returned.  An out-of-range (m, n) raises ValueError, which is not cached.
     """
-    if m < 0 or n < 1:
-        raise ValueError("bessel_zero requires m >= 0 and n >= 1")
-    from scipy.special import jn_zeros
-
-    zero = float(jn_zeros(m, n)[-1])
-    if not math.isfinite(zero):  # scipy returns nan past the orders it resolves
-        raise ValueError(f"bessel_zero: scipy finds no finite zero for (m, n) = ({m}, {n})")
-    return zero
+    m, n = _mode_indices(m, n)
+    if m < 0:
+        raise ValueError(f"bessel_zero requires m >= 0, got (m, n) = ({m}, {n})")
+    lo, f_lo, seen = float(m), _jn(m, float(m)), 0
+    while True:
+        hi = lo + 1.0
+        f_hi = _jn(m, hi)
+        if (f_lo > 0) != (f_hi > 0):
+            seen += 1
+            if seen == n:
+                break
+        lo, f_lo = hi, f_hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = _jn(m, mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +202,13 @@ def mode_make(m: int, n: int, spec) -> BesselMode:
     The normalization is the closed form A = sqrt(2) / (r0 |J_{|m|+1}(j)|)
     at the zero j; the tests check it against quadrature of ``int r J^2 dr``.
     """
-    if n < 1:
-        raise ValueError("radial index n must be >= 1")
-    m_abs = abs(int(m))
+    m, n = _mode_indices(m, n)
+    m_abs = abs(m)
     zero = bessel_zero(m_abs, n)
     k = zero / spec.r0
     energy = (spec.hbar * k) ** 2 / (2.0 * spec.mu)
     norm = math.sqrt(2.0) / (spec.r0 * abs(bessel_j(m_abs + 1, zero)))
-    return BesselMode(m=int(m), n=int(n), zero=zero, k=k, energy=energy, norm=norm)
+    return BesselMode(m=m, n=n, zero=zero, k=k, energy=energy, norm=norm)
 
 
 def _check_modes(modes, spec) -> None:
@@ -220,10 +268,13 @@ def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None):
     panel: ``f`` is evaluated only at ``a``, and the result is zeros.  Panels
     still above the tolerance after the module's ``_QUAD_MAX_DEPTH``
     bisections (read at call time) are accepted with a UserWarning; a
-    non-finite panel estimate raises ValueError.
+    non-finite panel estimate, or an abs_tol that is not finite and > 0,
+    raises ValueError.
     """
     if not b >= a:  # also rejects a nan bound
         raise ValueError(f"need b >= a, got [{a!r}, {b!r}]")
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
     x7, w7 = _legendre_rule_unit(7)
     x15, w15 = _legendre_rule_unit(15)
     total_width = b - a

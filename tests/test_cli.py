@@ -253,6 +253,35 @@ def test_cli_import_loads_no_linalg_or_sparse():
     assert _fresh_python(code) == "[]"
 
 
+TASK_SCIPY_PROBE = """
+import sys
+from billiard2d import cli
+status = cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
+print(status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("task", ["modes", "pantograph", "populations", "energy-rate",
+                                  "validate"])
+def test_cli_tasks_load_scipy_only_for_validate(task, tmp_path):
+    # J and its zeros come from the C library's jn; only the CN oracle that
+    # validate runs needs scipy, for LAPACK
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n_samples = 4\nt_end = 5\nm_max = 2\nn_max = 2\n"
+                       "targets = 1,1\n", encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", TASK_SCIPY_PROBE, task, str(cfgfile), str(tmp_path / "o.csv")],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True,
+        text=True, timeout=120)
+    status, _, loaded = out.stdout.strip().splitlines()[-1].partition(" ")
+    assert status == "0", out.stderr
+    if task == "validate":
+        assert "scipy.linalg" in loaded and "scipy.special" not in loaded
+    else:
+        assert loaded == "[]"
+
+
 THREADS_PROBE = """
 import json, os, sys
 import billiard2d

@@ -264,6 +264,18 @@ def test_disk_inner_product_counts_every_theta_column():
     assert area == pytest.approx(math.pi * 1.3**2, rel=1e-14)
 
 
+@pytest.mark.parametrize("ntheta", [0, -4])
+def test_inner_products_reject_an_empty_angular_rule(ntheta):
+    # 0 raised ZeroDivisionError; -4 made moving_inner_product return 0
+    spec = DomainSpec()
+    bnd = BoundaryFunction.deformed_from(spec)
+    one = lambda r, th: np.ones_like(r)
+    with pytest.raises(ValueError, match="ntheta"):
+        disk_inner_product(one, one, spec, nr=8, ntheta=ntheta)
+    with pytest.raises(ValueError, match="ntheta"):
+        moving_inner_product(one, one, bnd, spec, 1.0, nr=8, ntheta=ntheta)
+
+
 @given(epsilon=st.floats(0.0, 0.6), kappa=st.floats(0.01, 0.3),
        t=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1))
 @example(epsilon=0.05, kappa=0.1, t=0.0, seed=3)

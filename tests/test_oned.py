@@ -24,6 +24,13 @@ def test_spec_validation():
         oned.Box1DSpec(x0=-1.0)
 
 
+@pytest.mark.parametrize("nx", [20.5, 64.0, "64"])
+def test_spec_rejects_non_integer_nx(nx):
+    # nx = 20.5 gave 21 nodes at spacing x0 / 21.5, the last dx / 2 from the wall
+    with pytest.raises(ValueError, match="nx must be an integer"):
+        oned.Box1DSpec(nx=nx)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["mu", "hbar", "x0", "kappa"])
 def test_spec_rejects_non_finite_field(name, value):
@@ -144,6 +151,14 @@ def test_propagate_1d_rejects_bad_time_arguments(t1, dt):
     with pytest.raises(ValueError, match="t1" if dt == 0.01 else "dt"):
         oned.propagate_1d(spec, phi0, 1.0, t1, dt)
     assert np.array_equal(oned.propagate_1d(spec, phi0, 1.0, 1.0, 0.01), phi0)
+
+
+@pytest.mark.parametrize("t1", [math.inf, math.nan])
+def test_propagate_1d_rejects_a_non_finite_end_time(t1):
+    # inf raised OverflowError; nan was called "before the start time"
+    spec = oned.Box1DSpec(kappa=0.1, nx=64)
+    with pytest.raises(ValueError, match="t1 must be finite"):
+        oned.propagate_1d(spec, oned.box_eigenmode_1d(spec, 1), 1.0, t1, 0.01)
 
 
 def test_apply_h1d_rejects_wrong_shape():

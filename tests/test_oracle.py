@@ -510,6 +510,15 @@ def test_propagate_rejects_bad_time_arguments(dilating_spec, t1, dt):
     assert same.time == 1.0 and np.array_equal(same.values, psi0.values)
 
 
+@pytest.mark.parametrize("t1", [math.inf, math.nan])
+def test_propagate_rejects_a_non_finite_end_time(dilating_spec, t1):
+    # inf raised OverflowError; nan was called "before the start time"
+    fac = pantographic_factory(dilating_spec, 32, 16)
+    psi0 = sample_mode(sf.mode_make(0, 1, dilating_spec), dilating_spec, 1.0, 32, 16)
+    with pytest.raises(ValueError, match="t1 must be finite"):
+        oracle.propagate(fac, psi0, t1, 0.01)
+
+
 @pytest.mark.parametrize("nr, ntheta, r0", [(32, 16, 2.0), (48, 16, 1.0), (32, 20, 1.0)])
 def test_propagate_rejects_an_operator_of_another_grid(dilating_spec, nr, ntheta, r0):
     # the operator is built for a 32 x 16 grid on r0 = 1; psi0 is not
@@ -710,6 +719,15 @@ def test_brute_element_integrated_over_no_time_is_zero():
     spec = DomainSpec(kappa=-2.0, gamma=0.5, epsilon=0.05)
     p = pt.ModePair(source=sf.mode_make(0, 1, spec), target=sf.mode_make(1, 1, spec))
     assert oracle.brute_element_integrated(p, spec, 0.0) == 0
+
+
+@pytest.mark.parametrize("abs_tol", [0.0, -1.0, math.nan])
+def test_brute_element_integrated_rejects_bad_tolerance(deformed_spec, abs_tol):
+    # 0 and -1 refined toward max_depth for minutes; nan accepted every panel
+    p = pt.ModePair(source=sf.mode_make(0, 1, deformed_spec),
+                    target=sf.mode_make(1, 1, deformed_spec))
+    with pytest.raises(ValueError, match="abs_tol"):
+        oracle.brute_element_integrated(p, deformed_spec, 1.0, abs_tol=abs_tol)
 
 
 def test_brute_element_array_matches_scalar_calls(deformed_spec):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,7 +102,7 @@ def test_mode_beyond_scipy_zero_range_raises_every_time(unit_spec):
 
 
 def test_package_import_loads_no_scipy():
-    # bessel_zero imports scipy.special lazily; keep `import billiard2d` lean
+    # keep `import billiard2d` lean: it loads no submodule at all
     src = Path(sf.__file__).resolve().parents[1]
     code = ("import sys, billiard2d; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -122,6 +123,66 @@ def test_library_modules_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_missing_jn_symbol_is_an_import_error():
+    # no scipy fallback: without the C library's jn, specfun does not load
+    src = Path(sf.__file__).resolve().parents[1]
+    code = ("import ctypes; ctypes.CDLL = lambda name: object()\n"
+            "try:\n    import billiard2d.specfun\n"
+            "except ImportError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert "'jn'" in out.stdout
+
+
+@given(m=st.integers(0, 40), x=st.floats(0.0, 120.0))
+@example(m=21, x=115.35)  # the largest jn - jv gap on a fine grid, about 6e-15
+@example(m=40, x=40.0)    # the turning point x = m
+def test_bessel_j_matches_scipy_jv(m, x):
+    from scipy.special import jv
+
+    assert abs(sf.bessel_j(m, x) - jv(m, x)) <= 1e-14
+    assert abs(sf.bessel_j_derivative(m, x) - 0.5 * (jv(m - 1, x) - jv(m + 1, x))) <= 1e-14
+
+
+@given(m=st.integers(0, 50), n=st.integers(1, 20))
+@example(m=0, n=1)
+@example(m=50, n=20)
+def test_bessel_zero_matches_scipy_jn_zeros(m, n):
+    from scipy.special import jn_zeros
+
+    want = jn_zeros(m, n)[-1]
+    assert abs(sf.bessel_zero(m, n) - want) <= 1e-13 * want
+
+
+def test_bessel_values_evaluate_only_the_orders_returned(monkeypatch):
+    # and each distinct argument once: a mesh field repeats every radius
+    calls = []
+    ufunc = sf._jn_ufunc
+
+    def recording(k, x):
+        calls.append((sorted(set(np.ravel(k).tolist())), np.size(x)))
+        return ufunc(k, x)
+
+    monkeypatch.setattr(sf, "_jn_ufunc", recording)
+    mesh = np.repeat(np.linspace(0.5, 9.0, 5)[:, None], 8, axis=1)
+    assert sf.bessel_j(7, mesh).shape == (5, 8)
+    sf.bessel_j_derivative(7, mesh)
+    sf.bessel_j_derivative(0, mesh)
+    assert sf.bessel_j_all(3, mesh).shape == (4, 5, 8)
+    assert calls == [([7], 5), ([6, 7, 8], 5), ([0, 1], 5), ([0, 1, 2, 3], 5)]
+
+
+@pytest.mark.parametrize("m, n", [(0.5, 1), (0, 1.5), (1.0, 1), (-2.5, 3), (0, 0),
+                                  (5000, 1), (-5000, 1), (0, 5000)])
+def test_mode_make_rejects_non_integer_or_out_of_range_index(m, n, unit_spec):
+    # (0.5, 1) used to build the (0, 1) mode; (0, 1.5) failed inside scipy
+    with pytest.raises(ValueError, match=re.escape(f"({m}, {n})")):
+        sf.mode_make(m, n, unit_spec)
+    with pytest.raises(ValueError, match=re.escape(f"({abs(m)}, {n})")):
+        sf.bessel_zero(abs(m), n)
 
 
 def test_gauss_legendre_small_rules():
@@ -304,6 +365,17 @@ def test_adaptive_quad_vec_warns_at_depth_limit(monkeypatch):
     monkeypatch.setattr(sf, "_QUAD_MAX_DEPTH", 10)
     with np.errstate(divide="ignore"), pytest.warns(UserWarning, match=r"max_depth=10"):
         sf.adaptive_quad_vec(_inverse_sqrt_singularity, 0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("abs_tol", [0.0, -1.0, math.nan, math.inf])
+def test_adaptive_quad_vec_rejects_bad_tolerance(abs_tol):
+    # 0 and -1 bisected every panel toward max_depth; nan returned 2.03095e15
+    # for 2.03483e15 without a warning
+    def f(s):
+        return (np.exp(40.0 * s) * np.sin(60.0 * s))[None, :]
+
+    with pytest.raises(ValueError, match="abs_tol"):
+        sf.adaptive_quad_vec(f, 0.0, 1.0, abs_tol)
 
 
 def test_adaptive_quad_vec_rejects_non_finite_panels():
