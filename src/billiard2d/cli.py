@@ -206,7 +206,7 @@ def _task_energy_rate(cfg: RunConfig, out: Path) -> None:
 
 
 def _task_validate(cfg: RunConfig, out: Path) -> int:
-    from . import oracle  # scipy.linalg, for this task alone
+    from . import oracle
 
     spec = cfg.domain_spec()
     checks = []

@@ -8,6 +8,10 @@ the first node sits at dr/2 (no coordinate-singularity row) and the last
 node sits exactly on r = r0 and is pinned to zero (Dirichlet row).  The
 polar origin is handled by parity ghosts: the point (-r, theta) is
 (r, theta + pi), i.e. a half-turn roll of the first row.
+
+The tridiagonal solves and factorizations (zgtsv, zgttrf, zgttrs) and GMRES's
+plane rotations (zlartg) are LAPACK's, from the OpenBLAS that numpy ships,
+bound in ``_lapack``; this module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _lapack as lapack
 from .domain import BoundaryFunction, DomainSpec, _box
 from .pantograph import alpha, beta, phi_exact
 from .specfun import BesselMode, _check_modes, adaptive_quad_vec, radial_profile

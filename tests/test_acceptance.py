@@ -296,9 +296,25 @@ def test_criterion_8_one_dimensional_module():
               f"FD rate relative {rel:.2e}")
 
 
+class _CubicRamp:
+    """g(t) = 1 - (1 - t / tau)^3 up to tau and 1 after: g''' jumps at tau."""
+
+    def __init__(self, tau):
+        self.tau = tau
+
+    def g(self, t):
+        return 1.0 - (1.0 - np.minimum(np.asarray(t, dtype=float) / self.tau, 1.0)) ** 3
+
+    def gdot(self, t):
+        x = np.minimum(np.asarray(t, dtype=float) / self.tau, 1.0)
+        return 3.0 * (1.0 - x) ** 2 / self.tau
+
+
 def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
     spec5 = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, gamma=0.5,
                        epsilon=0.05)
+    ramp = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, epsilon=0.05,
+                      schedule=_CubicRamp(1.0))
     moved = {}
 
     # the W, F and TDPT-population settings, at their defaults and with the
@@ -310,16 +326,20 @@ def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
     targets = [sf.mode_make(1, n, spec5) for n in range(1, 5)]
     times = np.linspace(0.0, 50.0, 6)
 
+    ramp_pair = pt.ModePair(source=sf.mode_make(0, 1, ramp),
+                            target=sf.mode_make(1, 2, ramp))
+
     def guarded():
         return ([pt.w_integral(k, pair, spec5) for k in (1, 2, 3, 4)],
                 [pt.f_integral(k, pair, spec5, 5.0) for k in (1, 2, 3, 4, 5)],
-                pt.amplitudes(initial, targets, spec5, times))
+                pt.amplitudes(initial, targets, spec5, times),
+                [pt.f_integral(k, ramp_pair, ramp, 2.0) for k in (1, 2, 3, 4, 5)])
 
     assert (pt.RADIAL_QUAD_POINTS, pt._F_TOL) == (128, 1e-10)
-    wa, fa, ta = guarded()
+    wa, fa, ta, ra = guarded()
     monkeypatch.setattr(pt, "RADIAL_QUAD_POINTS", 256)
     monkeypatch.setattr(pt, "_F_TOL", 2.5e-11)
-    wb, fb, tb = guarded()
+    wb, fb, tb, rb = guarded()
     monkeypatch.undo()
     # > 0: the patched rule was used (Levin's F reads 0 here: it resolves
     # these integrands to rounding at either tolerance)
@@ -327,6 +347,11 @@ def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
     assert 0.0 < moved["w_integrals"] < 10 * 1e-10  # claimed stability 1e-10
     moved["f_integrals"] = max(abs(a - b) for a, b in zip(fa, fb))
     assert moved["f_integrals"] < 10 * 1e-10  # claimed 1e-10
+    # the ramp's h is not analytic at t = 1, so the Levin panels there split
+    # further at the tighter tolerance: > 0 shows _F_TOL is read (an _F_TOL
+    # of 1e-4 moves these F by 8e-6)
+    moved["f_ramp"] = max(abs(a - b) for a, b in zip(ra, rb))
+    assert 0.0 < moved["f_ramp"] < 1e-6
     moved["populations"] = max(
         float(np.max(np.abs(ta.population(t) - tb.population(t))))
         for t in targets)

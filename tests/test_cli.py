@@ -247,7 +247,6 @@ def _fresh_python(code: str, **env_vars) -> str:
 
 
 def test_cli_import_loads_no_linalg_or_sparse():
-    # only the validate task needs the CN oracle and its scipy.linalg/sparse
     code = ("import sys, billiard2d.cli; "
             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
     assert _fresh_python(code) == "[]"
@@ -264,8 +263,8 @@ print(status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 @pytest.mark.parametrize("task", ["modes", "pantograph", "populations", "energy-rate",
                                   "validate"])
 def test_cli_tasks_load_scipy_only_for_validate(task, tmp_path):
-    # J and its zeros come from the C library's jn; only the CN oracle that
-    # validate runs needs scipy, for LAPACK
+    # no task loads scipy, validate included: J and its zeros come from the
+    # C library's jn, and the CN oracle takes LAPACK from numpy's own OpenBLAS
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n_samples = 4\nt_end = 5\nm_max = 2\nn_max = 2\n"
                        "targets = 1,1\n", encoding="utf-8")
@@ -276,17 +275,14 @@ def test_cli_tasks_load_scipy_only_for_validate(task, tmp_path):
         text=True, timeout=120)
     status, _, loaded = out.stdout.strip().splitlines()[-1].partition(" ")
     assert status == "0", out.stderr
-    if task == "validate":
-        assert "scipy.linalg" in loaded and "scipy.special" not in loaded
-    else:
-        assert loaded == "[]"
+    assert loaded == "[]"
 
 
 THREADS_PROBE = """
 import json, os, sys
 import billiard2d
 package_loads_numpy = "numpy" in sys.modules
-import billiard2d.cli, scipy.linalg
+import billiard2d.cli, billiard2d.oracle
 tasks = "/proc/self/task"
 threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps([package_loads_numpy, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
@@ -294,8 +290,8 @@ print(json.dumps([package_loads_numpy, os.environ.get("OPENBLAS_NUM_THREADS"), t
 
 
 def test_cli_runs_openblas_on_one_thread_unless_told_otherwise():
-    # the CLI sets the default before numpy (and numpy's and scipy's
-    # OpenBLAS) loads, so both libraries start no worker thread
+    # the CLI sets the default before numpy and its OpenBLAS load, so the
+    # library, which the CN oracle's LAPACK calls too, starts no worker thread
     package_loads_numpy, value, threads = json.loads(_fresh_python(THREADS_PROBE))
     assert not package_loads_numpy
     assert value == "1"

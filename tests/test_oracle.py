@@ -3,11 +3,12 @@ import json
 import math
 import os
 import re
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from billiard2d import oracle
@@ -384,7 +385,7 @@ def test_h3_only_where_the_boundary_varies(ntheta, kappa, epsilon, t):
 
 
 THREAD_CPU_PROBE = """
-import json, os, sys
+import json, os, sys, time
 from billiard2d import oracle, pantograph, specfun
 from billiard2d.domain import BoundaryFunction, DomainSpec
 
@@ -400,6 +401,9 @@ def cpu():  # (main thread, all other threads) CPU seconds, from /proc
 spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.05)
 bnd = BoundaryFunction.deformed_from(spec)
 mode = specfun.mode_make(0, 1, spec)
+# OpenBLAS's workers spin for 2**28 clock cycles (0.13 s at 2.1 GHz) after
+# numpy starts them; wait that out, so that only the CN steps are measured
+time.sleep(0.5)
 growth = []
 for nr in (192, 384):
     psi = oracle.grid_from_sampler(
@@ -835,3 +839,43 @@ def test_fd_energy_rate_validates_grid(unit_spec):
     snaps = [sample_mode(mode, unit_spec, t, 64, 16) for t in (0, 0.1, 0.3, 0.4, 0.5)]
     with pytest.raises(ValueError, match="uniform"):
         oracle.fd_energy_rate(snaps, unit_spec)
+
+
+@lru_cache(maxsize=None)
+def _in_natural_units(mu, hbar, r0):
+    """Each solver's results for a box of kappa T = 0.1, gamma T = 0.5 and
+    eps 0.05, T = mu r0^2 / hbar, in units of r0, T, hbar and
+    E = hbar^2 / (mu r0^2): TDPT populations, the pantographic energy and its
+    rate, a short 64x16 deformed CN field (times r0) and the (0,1) -> (1,1)
+    element, assembled and brute force."""
+    period = mu * r0**2 / hbar
+    energy = hbar / period
+    spec = DomainSpec(mu=mu, hbar=hbar, r0=r0, kappa=0.1 / period, gamma=0.5 / period,
+                      epsilon=0.05)
+    initial = sf.mode_make(0, 1, spec)
+    targets = [sf.mode_make(1, n, spec) for n in (1, 2)]
+    table = pt.amplitudes(initial, targets, spec, np.linspace(0.0, 5.0, 6) * period)
+    state = pg.PantographicState.superposition([initial, targets[0]], [0.8, 0.6])
+    psi = sample_mode(initial, spec, 0.0, 64, 16)
+    psi = oracle.propagate(deformed_factory(spec, 64, 16), psi, 0.5 * period, 0.05 * period)
+    pair = pt.ModePair(source=initial, target=targets[0])
+    return {
+        "populations": np.array([table.population(tg) for tg in targets]),
+        "energy": np.array([pg.mean_energy(state, spec, 2.0 * period) / energy,
+                            pg.energy_rate(state, spec, 2.0 * period) * period / energy]),
+        "cn": psi.values * r0,
+        "element": np.array([pt.element(pair, spec, period).total / hbar]),
+        "brute": np.array([oracle.brute_element_integrated(pair, spec, period,
+                                                           abs_tol=1e-9 * hbar) / hbar]),
+    }
+
+
+@settings(max_examples=5)
+@given(log_units=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_results_do_not_depend_on_the_units(log_units):
+    # mu, hbar and r0 in [1/e, e]: a misplaced one in any formula shows here
+    got = _in_natural_units(*(math.exp(x) for x in log_units))
+    want = _in_natural_units(1.0, 1.0, 1.0)
+    for key, value in want.items():
+        assert np.max(np.abs(got[key] - value)) <= 1e-11 * np.max(np.abs(value)), key
+    assert abs(got["element"] - got["brute"]) <= 1e-6 * abs(got["brute"])

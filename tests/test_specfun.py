@@ -113,11 +113,11 @@ def test_package_import_loads_no_scipy():
 
 
 def test_library_modules_load_no_scipy():
-    # `import billiard2d` loads no submodule, so import the ones that must
-    # leave scipy out (the CN oracle and the CLI's validate task need it)
+    # `import billiard2d` loads no submodule, so import each library module
     src = Path(sf.__file__).resolve().parents[1]
     code = ("import sys, billiard2d.specfun, billiard2d.domain, "
-            "billiard2d.pantograph, billiard2d.perturbation; "
+            "billiard2d.pantograph, billiard2d.perturbation, billiard2d.oracle, "
+            "billiard2d.oned; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
