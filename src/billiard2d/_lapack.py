@@ -1,16 +1,14 @@
-"""The four LAPACK routines the CN oracle calls -- zgtsv, zgttrf, zgttrs and
-zlartg -- bound once with ctypes from the OpenBLAS that numpy's wheel ships
-(``numpy.libs/libscipy_openblas64_*``, which numpy has already loaded).
+"""The CN oracle's only way to LAPACK: zgtsv, zgttrf, zgttrs and zlartg, bound
+once with ctypes from the OpenBLAS that numpy's wheel ships
+(``numpy.libs/libscipy_openblas64_*``, which numpy has already loaded; its
+symbols are ``scipy_<name>_64_`` and its integers 64-bit).
 
-That build prefixes each symbol with ``scipy_`` and suffixes it ``64_``, and
-its integers are 64-bit (ILP64).  Each wrapper keeps scipy.linalg.lapack's
-call signature and return tuple for one right-hand side, without the
-``overwrite_*`` flags or ``zgttrs``'s ``trans``: the bands and right-hand
-sides are copied, as scipy copies them by default, and the factor's arrays
-are passed to ``zgttrs`` as they are.  ``zgttrf`` returns its pivots as
-int64, so ``zgttrs`` converts nothing per solve.  A numpy without that
-library or symbol makes importing this module an ImportError; there is no
-scipy fallback.
+``gtsv(dl, d, du, b)`` is one zgtsv, ``Factor(dl, d, du)`` one zgttrf and its
+``solve(b)`` one zgttrs, and ``lartg(f, g)`` one zlartg.  A solve copies the
+bands and b, reads b (any shape holding n values) C-order, returns x shaped
+like b, and raises RuntimeError where LAPACK's info != 0.  A numpy without
+that library or symbol makes importing this module an ImportError; there is
+no scipy fallback.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def _bind():
 
 
 _zgtsv, _zgttrf, _zgttrs, _zlartg = _bind()
-_ONE = ctypes.c_int64(1)
+_ONE = ctypes.byref(ctypes.c_int64(1))
 _TRANS_LEN = ctypes.c_size_t(1)
 _ZLARTG_BUF = ctypes.c_double * 9  # f, g, cs, sn, r
 # A pointer to a writable array's data: ctypes.c_void_p takes a ctypes array,
@@ -60,19 +58,13 @@ _at = (ctypes.c_char * 0).from_buffer
 
 
 def _copy(a) -> np.ndarray:
-    return np.array(a, dtype=np.complex128)
+    return np.array(a, dtype=np.complex128, order="C")
 
 
-def _view(a, dtype=np.complex128) -> np.ndarray:
-    """a itself where it is a writable C-contiguous array of dtype, else a copy."""
-    a = np.ascontiguousarray(a, dtype=dtype)
-    return a if a.flags.writeable else a.copy()
-
-
-def _bands(dl, d, du, take):
-    """take(dl), take(d), take(du) and n; ValueError unless they are the bands
-    of one n x n matrix, n >= 1."""
-    dl, d, du = take(dl), take(d), take(du)
+def _bands(dl, d, du):
+    """Copies of dl, d and du, and n; ValueError unless they are the bands of
+    one n x n matrix, n >= 1."""
+    dl, d, du = _copy(dl), _copy(d), _copy(du)
     n = d.shape[0] if d.ndim == 1 else 0
     if n < 1 or dl.shape != (n - 1,) or du.shape != (n - 1,):
         raise ValueError(f"tridiagonal bands of shapes {dl.shape}, {d.shape}, {du.shape} "
@@ -81,55 +73,56 @@ def _bands(dl, d, du, take):
 
 
 def _rhs(b, n: int) -> np.ndarray:
-    """A copy of b, one right-hand side of length n, for LAPACK to overwrite."""
+    """A copy of b, one right-hand side of n values, for LAPACK to overwrite."""
     b = _copy(b)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side of shape {b.shape} is not ({n},)")
+    if b.size != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not hold n = {n} values")
     return b
 
 
-def zgtsv(dl, d, du, b):
-    """Solve the tridiagonal system with bands (dl, d, du) for b:
-    (du2, d, du, x, info), as scipy.linalg.lapack.zgtsv."""
-    dl, d, du, n = _bands(dl, d, du, _copy)
-    b = _rhs(b, n)
-    nn, info = ctypes.c_int64(n), ctypes.c_int64()
-    _zgtsv(ctypes.byref(nn), ctypes.byref(_ONE), _at(dl), _at(d), _at(du), _at(b),
-           ctypes.byref(nn), ctypes.byref(info))
-    return dl, d, du, b, info.value
+def _check(info: ctypes.c_int64, what: str) -> None:
+    if info.value != 0:
+        raise RuntimeError(f"tridiagonal {what} failed (info={info.value})")
 
 
-def zgttrf(dl, d, du):
-    """LU factorization of the tridiagonal matrix with bands (dl, d, du):
-    (dl, d, du, du2, ipiv, info), as scipy.linalg.lapack.zgttrf, but with
-    int64 pivots."""
-    dl, d, du, n = _bands(dl, d, du, _copy)
-    du2 = np.empty(max(n - 2, 0), dtype=np.complex128)
-    ipiv = np.empty(n, dtype=np.int64)
-    nn, info = ctypes.c_int64(n), ctypes.c_int64()
-    _zgttrf(ctypes.byref(nn), _at(dl), _at(d), _at(du), _at(du2), _at(ipiv),
-            ctypes.byref(info))
-    return dl, d, du, du2, ipiv, info.value
+def gtsv(dl, d, du, b) -> np.ndarray:
+    """x with T x = b, T the tridiagonal matrix with bands (dl, d, du): one zgtsv."""
+    dl, d, du, n = _bands(dl, d, du)
+    x = _rhs(b, n)
+    nn, info = ctypes.byref(ctypes.c_int64(n)), ctypes.c_int64()
+    _zgtsv(nn, _ONE, _at(dl), _at(d), _at(du), _at(x), nn, ctypes.byref(info))
+    _check(info, "solve")
+    return x
 
 
-def zgttrs(dl, d, du, du2, ipiv, b):
-    """Solve with zgttrf's factor for b: (x, info), as
-    scipy.linalg.lapack.zgttrs with its default trans="N"."""
-    dl, d, du, n = _bands(dl, d, du, _view)
-    du2, ipiv = _view(du2), _view(ipiv, np.int64)
-    if du2.shape != (max(n - 2, 0),) or ipiv.shape != (n,):
-        raise ValueError(f"du2 of shape {du2.shape} and ipiv of shape {ipiv.shape} "
-                         f"are not a factor of order n = {n}")
-    b = _rhs(b, n)
-    nn, info = ctypes.c_int64(n), ctypes.c_int64()
-    _zgttrs(b"N", ctypes.byref(nn), ctypes.byref(_ONE), _at(dl), _at(d), _at(du),
-            _at(du2), _at(ipiv), _at(b), ctypes.byref(nn), ctypes.byref(info), _TRANS_LEN)
-    return b, info.value
+class Factor:
+    """The LU factorization of the tridiagonal matrix with bands (dl, d, du):
+    one zgttrf, kept for the many solves of one matrix."""
+
+    def __init__(self, dl, d, du):
+        dl, d, du, n = _bands(dl, d, du)
+        du2 = np.empty(max(n - 2, 0), dtype=np.complex128)
+        ipiv = np.empty(n, dtype=np.int64)
+        self._n, self._nn = n, ctypes.byref(ctypes.c_int64(n))
+        # the factor's arrays, viewed once: each solve passes them as they are
+        self._lu = tuple(_at(a) for a in (dl, d, du, du2, ipiv))
+        info = ctypes.c_int64()
+        _zgttrf(self._nn, *self._lu, ctypes.byref(info))
+        _check(info, "factorization")
+
+    def solve(self, b) -> np.ndarray:
+        """x with T x = b: one zgttrs."""
+        x = _rhs(b, self._n)
+        info = ctypes.c_int64()
+        _zgttrs(b"N", self._nn, _ONE, *self._lu, _at(x), self._nn, ctypes.byref(info),
+                _TRANS_LEN)
+        _check(info, "solve")
+        return x
 
 
-def zlartg(f, g):
-    """The plane rotation taking (f, g) to (r, 0): (cs, sn, r), as
-    scipy.linalg.lapack.zlartg (a float and two complex numbers)."""
+def lartg(f, g):
+    """The plane rotation taking (f, g) to (r, 0): (cs, sn, r), a float and
+    two complex numbers, as LAPACK's zlartg."""
     z = _ZLARTG_BUF(f.real, f.imag, g.real, g.imag)
     at = ctypes.addressof(z)
     _zlartg(at, at + 16, at + 32, at + 40, at + 56)

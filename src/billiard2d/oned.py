@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack as lapack
 from .domain import _check_fields, _lam
-from .oracle import _half_steps, _tridiag_apply, _tridiag_solve
+from .oracle import _half_steps, _shifted, _tridiag_apply
 
 __all__ = [
     "Box1DSpec",
@@ -140,5 +141,5 @@ def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.nd
     z = 0.5j * h / spec.hbar
     for t_half, _ in steps:
         bands = _generator_1d(spec, t_half)
-        phi = _tridiag_solve(bands, z, phi - z * _tridiag_apply(bands, phi))  # (I - z H) phi
+        phi = lapack.gtsv(*_shifted(bands, z), phi - z * _tridiag_apply(bands, phi))
     return phi

@@ -9,9 +9,8 @@ node sits exactly on r = r0 and is pinned to zero (Dirichlet row).  The
 polar origin is handled by parity ghosts: the point (-r, theta) is
 (r, theta + pi), i.e. a half-turn roll of the first row.
 
-The tridiagonal solves and factorizations (zgtsv, zgttrf, zgttrs) and GMRES's
-plane rotations (zlartg) are LAPACK's, from the OpenBLAS that numpy ships,
-bound in ``_lapack``; this module imports nothing from scipy.
+LAPACK's routines come through ``_lapack.gtsv``, ``_lapack.Factor`` and
+``_lapack.lartg`` alone; this module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _fourier_table(nr: int, ntheta: int, r0: float) -> dict:
     and is stored at row m + d; the Laplacian's Delta m = 0 part is left out.
     Entries "lap" and "dil" are those stencils for every m.  Each is a
     read-only flat m-major (lower, diag, upper) stack, (3, ntheta (nr - 1)),
-    as zgttrf takes it: the parity ghost (r_0, theta + pi) is folded into
+    as ``_shifted`` takes it: the parity ghost (r_0, theta + pi) is folded into
     row 0's diagonal as (-1)^m, and the joints between wavenumbers are zero.
     """
     ni = nr - 1
@@ -154,14 +153,6 @@ def _shifted(bands: np.ndarray, scale: complex):
     lower, diag, upper = scale * bands
     diag += 1.0
     return lower[1:], diag, upper[:-1]
-
-
-def _tridiag_solve(bands: np.ndarray, scale: complex, rhs: np.ndarray) -> np.ndarray:
-    """y with (I + scale T) y = rhs (flat, length n): one zgtsv."""
-    *_, y, info = lapack.zgtsv(*_shifted(bands, scale), rhs)
-    if info != 0:
-        raise RuntimeError(f"tridiagonal solve failed (info={info})")
-    return y
 
 
 def _half_steps(t0: float, t1: float, dt: float):
@@ -217,9 +208,6 @@ class GridWavefunction:
 
     def radii(self) -> np.ndarray:
         return _grid_radii(self.nr, self.r0)
-
-    def thetas(self) -> np.ndarray:
-        return _grid_thetas(self.ntheta)
 
     def inner(self, other: "GridWavefunction") -> complex:
         if other.grid != self.grid:
@@ -339,8 +327,14 @@ def effective_operator(boundary: BoundaryFunction, spec: DomainSpec, t: float,
     dil = i hbar (lamdot/lam + eps gdot cos/(1 - eps g cos)) is sampled on
     the theta nodes only if eps gdot != 0: at eps g = eps gdot = 0 the
     operator is theta-constant.  ValueError naming t if the box is not
-    valid at t (see domain._box).
+    valid at t (see domain._box), and naming the field unless the two specs
+    agree on mu, hbar, r0 and kappa (the ellipse's epsilon, gamma and
+    schedule are its own: ``pantographic_from`` resets them).
     """
+    for name in ("mu", "hbar", "r0", "kappa"):
+        if getattr(boundary.spec, name) != getattr(spec, name):
+            raise ValueError(f"boundary.spec and spec disagree on {name}: "
+                             f"{getattr(boundary.spec, name)!r} and {getattr(spec, name)!r}")
     lam, lamdot, eg, egdot = _box(boundary.spec, t)
     q = 1.0 / lam  # q = 1/R where eps g cos(theta) = 0
     pref = -spec.hbar**2 / (2.0 * spec.mu) * q * q
@@ -359,25 +353,11 @@ def apply_heff(op: EffectiveOperator, psi: GridWavefunction) -> GridWavefunction
     return GridWavefunction(values, psi.r0, psi.time)
 
 
-class _BlockFactor:
-    """LU factorization of (I + scale T), T a flat tridiagonal stack (the
-    Fourier blocks), for the many solves of a deformed step's GMRES
-    preconditioner.  ``solve`` takes and returns m-major spectra."""
-
-    def __init__(self, bands: np.ndarray, scale: complex):
-        *fact, info = lapack.zgttrf(*_shifted(bands, scale))
-        if info != 0:
-            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._fact = fact
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.zgttrs(*self._fact, rhs.reshape(-1))
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x.reshape(rhs.shape)
-
-
 _RESTART = 20  # inner iterations per GMRES cycle
+# propagate's GMRES stopping rule, read at each call: the true residual within
+# _GMRES_RTOL of the right-hand side, in at most _GMRES_MAX_ITER inner iterations
+_GMRES_RTOL = 1e-11
+_GMRES_MAX_ITER = 60
 
 
 def _dot(u: np.ndarray, w: np.ndarray) -> complex:
@@ -444,7 +424,7 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
                 c, sn = givens[k]
                 n0, n1 = h[col, k], h[col, k + 1]
                 h[col, k], h[col, k + 1] = c * n0 + sn * n1, -sn.conjugate() * n0 + c * n1
-            c, sn, mag = lapack.zlartg(h[col, col], h[col, col + 1])
+            c, sn, mag = lapack.lartg(h[col, col], h[col, col + 1])
             givens[col] = c, sn
             h[col, col], h[col, col + 1] = mag, 0.0
             s[col], s[col + 1] = c * s[col], -sn.conjugate() * s[col]
@@ -473,51 +453,52 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
         ptol = presid * min(ptol_max_factor, atol / rnorm)
 
 
-def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float,
-              rtol: float = 1e-11, max_iter: int = 60) -> GridWavefunction:
+def _operator(op_factory, t: float, grid: tuple) -> EffectiveOperator:
+    op = op_factory(t)
+    if op.grid != grid:
+        raise ValueError(f"operator grid (nr, ntheta, r0) = {op.grid} "
+                         f"is not the wavefunction's {grid}")
+    return op
+
+
+def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float) -> GridWavefunction:
     """Crank-Nicolson propagation from psi0.time to t1 (not before it; dt
-    finite and > 0, rtol finite and > 0, max_iter an int >= 1, psi0 finite
-    and every operator on psi0's grid, else ValueError before any step).
+    finite and > 0, psi0 finite, the operator at t1 built without error, and
+    every operator on psi0's grid, else ValueError before any step).
 
     The state is carried m-major as the angular spectrum of its interior
-    rows.  Each step builds the operator at the half-step time (the grid's one
-    table combined with that time's scalars).  A theta-constant operator
-    (pantographic) is its blocks: the step is one tridiagonal solve (zgtsv),
-    with no FFT.  Otherwise an application adds the Delta m bands
-    and, while eps gdot != 0, one FFT pair for dil's rest, and restarted GMRES
-    (cycles of 20) preconditioned by the blocks, started from the block solve
-    and then from 2 x_n - x_{n-1}, iterates until the true residual is within
-    ``rtol`` of the right-hand side, in at most ``max_iter`` inner iterations.
-    Its reductions are ufunc sums: no threaded BLAS call.  RuntimeError naming
-    the half-step time, the iterations and the residual if it does not converge.
+    rows, and each step builds the operator at the half-step time.  A
+    theta-constant (pantographic) operator is its blocks: the step is one
+    ``_lapack.gtsv``, with no FFT.  Otherwise restarted GMRES (cycles of 20),
+    preconditioned by the blocks' ``_lapack.Factor``, starts from the block
+    solve and then from 2 x_n - x_{n-1}, and iterates until the true residual
+    is within the module's ``_GMRES_RTOL`` of the right-hand side, in at most
+    ``_GMRES_MAX_ITER`` inner iterations; its reductions are ufunc sums, no
+    threaded BLAS call.  RuntimeError naming the half-step time, the
+    iterations and the residual if it does not converge.
 
     The pantographic operator is Hermitian under the grid weights r_j, so
     the step conserves the grid norm to round-off.  The H3 stencil of a
     deformed boundary is not, so there the norm drifts: slowly for smooth
     states, faster for rough ones.
     """
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be finite and > 0, got {rtol!r}")
     if not np.isfinite(psi0.values).all():
         raise ValueError("psi0 must be finite")
     h, steps = _half_steps(psi0.time, t1, dt)
     if not steps:
         return psi0.copy()
+    _operator(op_factory, t1, psi0.grid)  # the half steps stop short of t1
+    rtol, max_iter = _GMRES_RTOL, _GMRES_MAX_ITER
     x = np.fft.fft(psi0.values[:-1].T, axis=0)  # (ntheta, nr - 1)
     prev = None
     for t_half, t in steps:
-        op = op_factory(t_half)
-        if op.grid != psi0.grid:
-            raise ValueError(f"operator grid (nr, ntheta, r0) = {op.grid} "
-                             f"is not the wavefunction's {psi0.grid}")
+        op = _operator(op_factory, t_half, psi0.grid)
         scale = 1j * h / (2.0 * op.hbar)
         b = x - scale * op.apply(x.T).T
         if op.theta_constant:
-            step = _tridiag_solve(op._blocks, scale, b.reshape(-1)).reshape(x.shape)
+            step = lapack.gtsv(*_shifted(op._blocks, scale), b)
         else:
-            factor = _BlockFactor(op._blocks, scale)
+            factor = lapack.Factor(*_shifted(op._blocks, scale))
             start = factor.solve(b) if prev is None else 2.0 * x - prev
             step, inner, resid = _gmres(lambda f: f + scale * op.apply(f.T).T,
                                         factor.solve, b, start, rtol, max_iter)

@@ -1,5 +1,6 @@
-"""The ctypes binding of numpy's OpenBLAS LAPACK against scipy.linalg.lapack,
-which the tests keep as an independent reference."""
+"""The ctypes wrappers of numpy's OpenBLAS LAPACK (gtsv, Factor, lartg)
+against scipy.linalg.lapack, which the tests keep as an independent
+reference."""
 
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import lapack as reference
 
 from billiard2d import _lapack, oracle
+from billiard2d.domain import BoundaryFunction, DomainSpec
 
 
 def _system(n, seed):
@@ -24,7 +28,7 @@ def _system(n, seed):
 
 
 def _assert_bits(got, want):
-    # every returned array, shape and bytes, and info
+    # every returned array, shape and bytes, and each number
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if isinstance(w, np.ndarray):
@@ -39,20 +43,19 @@ def _assert_bits(got, want):
 @pytest.mark.parametrize("n", [2, 6112])
 def test_zgtsv_matches_scipy_bit_for_bit(n):
     dl, d, du, b = _system(n, n)
-    _assert_bits(_lapack.zgtsv(dl, d, du, b), reference.zgtsv(dl, d, du, b))
+    *_, x, info = reference.zgtsv(dl, d, du, b)
+    assert info == 0
+    _assert_bits([_lapack.gtsv(dl, d, du, b)], [x])
 
 
 @pytest.mark.parametrize("n", [3, 6112])
 def test_zgttrf_and_zgttrs_match_scipy_bit_for_bit(n):
     dl, d, du, b = _system(n, n)
-    got = _lapack.zgttrf(dl, d, du)
-    want = reference.zgttrf(dl, d, du)
-    assert got[4].dtype == np.int64  # the pivots zgttrs takes as they are
-    _assert_bits(got[:4] + got[5:], want[:4] + want[5:])
-    assert np.array_equal(got[4], want[4])
-    x = reference.zgttrs(*want[:5], b)
-    _assert_bits(_lapack.zgttrs(*got[:5], b), x)
-    _assert_bits(_lapack.zgttrs(*want[:5], b), x)  # scipy's int32 pivots
+    *fact, info = reference.zgttrf(dl, d, du)
+    assert info == 0
+    x, info = reference.zgttrs(*fact, b)
+    assert info == 0
+    _assert_bits([_lapack.Factor(dl, d, du).solve(b)], [x])
 
 
 def test_zlartg_matches_scipy_bit_for_bit():
@@ -61,7 +64,7 @@ def test_zlartg_matches_scipy_bit_for_bit():
     g = rng.normal(size=1000) + 1j * rng.normal(size=1000)
     pairs = list(zip(f, g)) + [(f[0], 0j), (0j, g[0]), (0j, 0j)]
     for fk, gk in pairs:
-        _assert_bits(_lapack.zlartg(fk, gk), reference.zlartg(fk, gk))
+        _assert_bits(_lapack.lartg(fk, gk), reference.zlartg(fk, gk))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -69,49 +72,77 @@ def test_smallest_systems_match_a_dense_solve(n):
     dl, d, du, b = _system(n, 10 + n)
     dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
     want = np.linalg.solve(dense, b)
-    *_, x, info = _lapack.zgtsv(dl, d, du, b)
-    assert info == 0 and np.allclose(x, want, rtol=1e-14, atol=0)
-    *fact, info = _lapack.zgttrf(dl, d, du)
-    assert info == 0 and fact[3].shape == (0,) and fact[4].shape == (n,)
-    x, info = _lapack.zgttrs(*fact, b)
-    assert info == 0 and np.allclose(x, want, rtol=1e-14, atol=0)
+    assert np.allclose(_lapack.gtsv(dl, d, du, b), want, rtol=1e-14, atol=0)
+    assert np.allclose(_lapack.Factor(dl, d, du).solve(b), want, rtol=1e-14, atol=0)
+
+
+def test_solves_return_x_shaped_like_b():
+    # b of any shape is one right-hand side of its n values, read C-order
+    dl, d, du, b = _system(12, 5)
+    want = _lapack.gtsv(dl, d, du, b)
+    factor = _lapack.Factor(dl, d, du)
+    for rhs in (b.reshape(3, 4), np.asfortranarray(b.reshape(3, 4))):
+        for x in (_lapack.gtsv(dl, d, du, rhs), factor.solve(rhs)):
+            assert x.shape == (3, 4) and x.reshape(-1).tobytes() == want.tobytes()
 
 
 def test_wrappers_leave_their_inputs_alone():
     dl, d, du, b = _system(8, 0)
     inputs = [a.copy() for a in (dl, d, du, b)]
-    bands = _lapack.zgtsv(dl, d, du, b)[:3]
-    _lapack.zgttrf(dl, d, du)
-    _lapack.zgttrs(*_lapack.zgttrf(dl, d, du)[:5], b)
+    x = _lapack.gtsv(dl, d, du, b)
+    factor = _lapack.Factor(dl, d, du)
+    y = factor.solve(b)
     assert all(np.array_equal(a, a0) for a, a0 in zip((dl, d, du, b), inputs))
-    assert not any(np.shares_memory(f, a) for f, a in zip(bands, (dl, d, du)))
+    assert not np.shares_memory(x, b) and not np.shares_memory(y, b)
+    # the factor is its own: changing the bands afterwards changes no solve
+    dl[:], d[:], du[:] = 1.0, 3.0, 1.0
+    assert factor.solve(b).tobytes() == y.tobytes()
 
 
 def test_wrappers_reject_mismatched_shapes():
     dl, d, du, b = _system(5, 0)
     with pytest.raises(ValueError, match="bands"):
-        _lapack.zgtsv(dl[1:], d, du, b)
+        _lapack.gtsv(dl[1:], d, du, b)
+    with pytest.raises(ValueError, match="bands"):
+        _lapack.Factor(dl, d, du[1:])
+    with pytest.raises(ValueError, match="bands"):
+        _lapack.Factor(dl[:0], d[:0], du[:0])  # n = 0
     with pytest.raises(ValueError, match="right-hand side"):
-        _lapack.zgtsv(dl, d, du, b[1:])
-    fact = _lapack.zgttrf(dl, d, du)[:5]
-    with pytest.raises(ValueError, match="ipiv"):
-        _lapack.zgttrs(*fact[:4], fact[4][1:], b)
+        _lapack.gtsv(dl, d, du, b[1:])
+    with pytest.raises(ValueError, match="right-hand side"):
+        _lapack.Factor(dl, d, du).solve(np.r_[b, b])
 
 
 def test_singular_system_reports_info_as_scipy_does():
     # no pivot in the first column: d[0] = dl[0] = 0
     dl, d, du, b = _system(6, 3)
     dl[0] = d[0] = 0.0
-    info = _lapack.zgtsv(dl, d, du, b)[-1]
-    assert info > 0 and info == reference.zgtsv(dl, d, du, b)[-1]
-    info = _lapack.zgttrf(dl, d, du)[-1]
+    info = reference.zgtsv(dl, d, du, b)[-1]
     assert info > 0 and info == reference.zgttrf(dl, d, du)[-1]
-    # the same system as I + scale T of a band stack (lower[0], upper[-1] unused)
-    bands = np.stack([np.r_[0.0, dl], d - 1.0, np.r_[du, 0.0]])
     with pytest.raises(RuntimeError, match=rf"tridiagonal solve failed \(info={info}\)"):
-        oracle._tridiag_solve(bands, 1.0, b)
+        _lapack.gtsv(dl, d, du, b)
     with pytest.raises(RuntimeError, match=rf"factorization failed \(info={info}\)"):
-        oracle._BlockFactor(bands, 1.0)
+        _lapack.Factor(dl, d, du)
+
+
+def test_one_shot_and_factored_solves_agree_on_cn_blocks():
+    # the two paths of a CN step, on the shifted blocks of a pantographic
+    # 192 x 32 operator at the benchmark's dt
+    spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.05)
+    op = oracle.effective_operator(BoundaryFunction.pantographic_from(spec), spec, 0.5,
+                                   192, 32)
+    bands = oracle._shifted(op._blocks, 1j * 0.005 / (2.0 * spec.hbar))
+    b = _system(op._blocks.shape[1], 7)[3].reshape(32, 191)
+    assert _lapack.gtsv(*bands, b).tobytes() == _lapack.Factor(*bands).solve(b).tobytes()
+
+
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       diag_scale=st.floats(1e-3, 1.0))
+def test_one_shot_and_factored_solves_agree_bit_for_bit(n, seed, diag_scale):
+    # a small diagonal makes partial pivoting swap rows
+    dl, d, du, b = _system(n, seed)
+    d *= diag_scale
+    assert _lapack.gtsv(dl, d, du, b).tobytes() == _lapack.Factor(dl, d, du).solve(b).tobytes()
 
 
 # A numpy whose install has no libscipy_openblas64_, and one whose library

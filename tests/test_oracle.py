@@ -285,35 +285,40 @@ def test_propagate_rejects_a_non_finite_psi0():
         oracle.propagate(_never_called, psi0, 1.0, 0.1)
 
 
-def test_propagate_solver_failure_raises(deformed_spec):
+def _solver_settings(monkeypatch, rtol, max_iter=oracle._GMRES_MAX_ITER):
+    monkeypatch.setattr(oracle, "_GMRES_RTOL", rtol)
+    monkeypatch.setattr(oracle, "_GMRES_MAX_ITER", max_iter)
+
+
+def test_propagate_solver_failure_raises(deformed_spec, monkeypatch):
     mode = sf.mode_make(0, 1, deformed_spec)
     psi0 = sample_mode(mode, deformed_spec, 0.0, 32, 16)
+    _solver_settings(monkeypatch, 1e-14, 1)
     with pytest.raises(RuntimeError, match="converge"):
-        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
-                         5.0, 5.0, rtol=1e-14, max_iter=1)
+        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0, 5.0, 5.0)
 
 
 def test_propagate_max_iter_caps_operator_applications(deformed_spec, monkeypatch):
     # max_iter bounds GMRES's inner iterations, not its restart cycles of 20
+    _solver_settings(monkeypatch, 1e-14, 5)
     calls = []
     apply = oracle.EffectiveOperator.apply
     monkeypatch.setattr(oracle.EffectiveOperator, "apply",
                         lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
     psi0 = sample_mode(sf.mode_make(0, 1, deformed_spec), deformed_spec, 0.0, 32, 16)
     with pytest.raises(RuntimeError, match="converge"):
-        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
-                         5.0, 5.0, rtol=1e-14, max_iter=5)
+        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0, 5.0, 5.0)
     # right-hand side, GMRES's first and last residual
     assert len(calls) <= 5 + 3
 
 
-def test_propagate_stall_names_time_iterations_and_residual(deformed_spec):
+def test_propagate_stall_names_time_iterations_and_residual(deformed_spec, monkeypatch):
     mode = sf.mode_make(0, 1, deformed_spec)
     psi0 = sample_mode(mode, deformed_spec, 0.0, 32, 16)
+    _solver_settings(monkeypatch, 1e-14, 1)
     with pytest.raises(RuntimeError, match=r"t = 2\.5 did not converge \(GMRES inner "
                        r"iterations: 1, relative residual: \d\.\d{3}e-\d\d, rtol: 1e-14\)"):
-        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0,
-                         5.0, 5.0, rtol=1e-14, max_iter=1)
+        oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0, 5.0, 5.0)
 
 
 def test_deformed_step_through_a_gmres_restart_matches_a_dense_solve(deformed_spec,
@@ -337,8 +342,8 @@ def test_deformed_step_through_a_gmres_restart_matches_a_dense_solve(deformed_sp
     apply = oracle.EffectiveOperator.apply
     monkeypatch.setattr(oracle.EffectiveOperator, "apply",
                         lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
-    got = np.fft.fft(oracle.propagate(fac, psi0, t + h, h, rtol=1e-14).values[:-1],
-                     axis=1).ravel()
+    _solver_settings(monkeypatch, 1e-14)
+    got = np.fft.fft(oracle.propagate(fac, psi0, t + h, h).values[:-1], axis=1).ravel()
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert len(calls) > 23  # right-hand side, first residual, 20 iterations, restart
 
@@ -359,7 +364,7 @@ def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch)
     monkeypatch.setattr(oracle.EffectiveOperator, "apply",
                         lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
     monkeypatch.setattr(oracle, "_gmres", _no_gmres)
-    monkeypatch.setattr(oracle, "_BlockFactor", _no_factor)
+    monkeypatch.setattr(oracle.lapack, "Factor", _no_factor)
     psi0 = sample_mode(sf.mode_make(1, 1, dilating_spec), dilating_spec, 0.0, 32, 16)
     oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, 0.5, 0.01)
     assert len(calls) == 50
@@ -462,8 +467,8 @@ def test_non_finite_boundary_raises_naming_the_time():
     with pytest.raises(ValueError, match=r"non-finite.*t = 1\.5"):
         fac(1.5)
     psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
-    with pytest.raises(ValueError, match=r"non-finite.*t = 1\.125"):
-        oracle.propagate(fac, psi0, 2.0, 0.25)  # the fifth half-step time
+    with pytest.raises(ValueError, match=r"non-finite.*t = 2\.0"):
+        oracle.propagate(fac, psi0, 2.0, 0.25)  # t1, built before any step
     # the pantographic boundary of the same spec never evaluates the schedule
     assert pantographic_factory(spec, 32, 16)(1.5).theta_constant
 
@@ -536,16 +541,28 @@ def _never_called(t):
     raise AssertionError(f"operator built at t = {t}")
 
 
-@pytest.mark.parametrize("max_iter, rtol", [(0, 1e-11), (-3, 1e-11), (0, 1e-30), (2.5, 1e-11),
-                                            (60, math.nan), (60, 0.0),
-                                            (60, -1e-3), (60, math.inf)])
-def test_propagate_rejects_bad_solver_settings(dilating_spec, max_iter, rtol):
-    # checked before any step: the factory is never called, so even the case
-    # that would otherwise never return (max_iter 0, rtol 1e-30) ends here
-    psi0 = sample_mode(sf.mode_make(0, 1, dilating_spec), dilating_spec, 1.0, 32, 16)
-    with pytest.raises(ValueError, match="max_iter" if rtol == 1e-11 or rtol == 1e-30
-                       else "rtol"):
-        oracle.propagate(_never_called, psi0, 1.5, 0.01, rtol=rtol, max_iter=max_iter)
+def test_propagate_rejects_a_t1_past_the_collapse():
+    # kappa = -0.5: the box collapses at t = 2.  The last half step of a run
+    # to t1 = 2.004 at dt 0.01 is 1.999, inside the span, and it returned a
+    # finite state at t = 2.004 (lambda = -0.002)
+    spec = DomainSpec(kappa=-0.5)
+    fac = pantographic_factory(spec, 32, 16)
+    psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
+    with pytest.raises(ValueError, match=re.escape("t = 2.004 is outside the box's span")):
+        oracle.propagate(fac, psi0, 2.004, 0.01)
+    assert oracle.propagate(fac, psi0, 1.996, 0.01).time == pytest.approx(1.996)
+
+
+@pytest.mark.parametrize("field", ["mu", "hbar", "r0", "kappa"])
+def test_effective_operator_rejects_specs_that_disagree(deformed_spec, field):
+    other = dataclasses.replace(deformed_spec, **{field: 2.0 * getattr(deformed_spec, field)})
+    for boundary, spec in ((BoundaryFunction.deformed_from(other), deformed_spec),
+                           (BoundaryFunction.pantographic_from(deformed_spec), other)):
+        with pytest.raises(ValueError, match=f"disagree on {field}"):
+            oracle.effective_operator(boundary, spec, 1.0, 16, 16)
+    # the ellipse's own epsilon, gamma and schedule may differ from spec's
+    static = dataclasses.replace(deformed_spec, epsilon=0.3, gamma=2.0, schedule=_NanSchedule())
+    oracle.effective_operator(BoundaryFunction.deformed_from(deformed_spec), static, 1.0, 16, 16)
 
 
 def reference_terms(boundary, spec, t, ntheta):
@@ -654,7 +671,8 @@ def test_cn_step_matches_dense_reference(seed, nr, ntheta, kappa, epsilon, panto
     s = 0.5j * h / spec.hbar
     eye = np.eye(ni * ntheta)
     want = np.linalg.solve(eye + s * dense, (eye - s * dense) @ psi.values[:-1].ravel())
-    got = oracle.propagate(fac, psi, t + h, h, rtol=1e-14).values
+    with mock.patch.object(oracle, "_GMRES_RTOL", 1e-14):
+        got = oracle.propagate(fac, psi, t + h, h).values
     assert np.linalg.norm(got[:-1].ravel() - want) <= 1e-12 * np.linalg.norm(want)
     assert not got[-1].any()
 
