@@ -1,14 +1,13 @@
-"""The CN oracle's only way to LAPACK: zgtsv, zgttrf, zgttrs and zlartg, bound
-once with ctypes from the OpenBLAS that numpy's wheel ships
+"""The CN oracle's only way to LAPACK: zgtsv, zgttrf and zgttrs, bound once
+with ctypes from the OpenBLAS that numpy's wheel ships
 (``numpy.libs/libscipy_openblas64_*``, which numpy has already loaded; its
 symbols are ``scipy_<name>_64_`` and its integers 64-bit).
 
 ``gtsv(dl, d, du, b)`` is one zgtsv, ``Factor(dl, d, du)`` one zgttrf and its
-``solve(b)`` one zgttrs, and ``lartg(f, g)`` one zlartg.  A solve copies the
-bands and b, reads b (any shape holding n values) C-order, returns x shaped
-like b, and raises RuntimeError where LAPACK's info != 0.  A numpy without
-that library or symbol makes importing this module an ImportError; there is
-no scipy fallback.
+``solve(b)`` one zgttrs.  A solve copies the bands and b, reads b (any shape
+holding n values) C-order, returns x shaped like b, and raises RuntimeError
+where LAPACK's info != 0.  A numpy without that library or symbol makes
+importing this module an ImportError; there is no scipy fallback.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ _LIB = "libscipy_openblas64_"
 #   zgtsv(N, NRHS, DL, D, DU, B, LDB, INFO)
 #   zgttrf(N, DL, D, DU, DU2, IPIV, INFO)
 #   zgttrs(TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO), then TRANS's length
-#   zlartg(F, G, C, S, R)
-_NAMES = ("zgtsv", "zgttrf", "zgttrs", "zlartg")
-_NARGS = (8, 7, 11, 5)
+_NAMES = ("zgtsv", "zgttrf", "zgttrs")
+_NARGS = (8, 7, 11)
 
 
 def _bind():
@@ -47,10 +45,9 @@ def _bind():
     return routines
 
 
-_zgtsv, _zgttrf, _zgttrs, _zlartg = _bind()
+_zgtsv, _zgttrf, _zgttrs = _bind()
 _ONE = ctypes.byref(ctypes.c_int64(1))
 _TRANS_LEN = ctypes.c_size_t(1)
-_ZLARTG_BUF = ctypes.c_double * 9  # f, g, cs, sn, r
 # A pointer to a writable array's data: ctypes.c_void_p takes a ctypes array,
 # and a zero-length one views any buffer, an empty band too, at a third of
 # the cost of ``a.ctypes.data``.
@@ -119,12 +116,3 @@ class Factor:
         _check(info, "solve")
         return x
 
-
-def lartg(f, g):
-    """The plane rotation taking (f, g) to (r, 0): (cs, sn, r), a float and
-    two complex numbers, as LAPACK's zlartg."""
-    z = _ZLARTG_BUF(f.real, f.imag, g.real, g.imag)
-    at = ctypes.addressof(z)
-    _zlartg(at, at + 16, at + 32, at + 40, at + 56)
-    cs, sn_re, sn_im, r_re, r_im = z[4:]
-    return cs, complex(sn_re, sn_im), complex(r_re, r_im)

@@ -9,8 +9,8 @@ node sits exactly on r = r0 and is pinned to zero (Dirichlet row).  The
 polar origin is handled by parity ghosts: the point (-r, theta) is
 (r, theta + pi), i.e. a half-turn roll of the first row.
 
-LAPACK's routines come through ``_lapack.gtsv``, ``_lapack.Factor`` and
-``_lapack.lartg`` alone; this module imports nothing from scipy.
+LAPACK's routines come through ``_lapack.gtsv`` and ``_lapack.Factor`` alone;
+this module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -155,11 +155,16 @@ def _shifted(bands: np.ndarray, scale: complex):
     return lower[1:], diag, upper[:-1]
 
 
+def _check_r0(r0) -> None:
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValueError(f"r0 must be finite and > 0, got {r0!r}")
+
+
 def _half_steps(t0: float, t1: float, dt: float):
     """h and each (half-step time, end time) of the CN grid from t0 to t1:
     max(1, round(span / dt)) steps, none if t1 == t0, times accumulated as
-    t + h/2, t += h.  ValueError unless dt is finite and > 0, t1 is finite and
-    t1 >= t0."""
+    t + h/2, t += h, except that the last step ends at t1 itself.  ValueError
+    unless dt is finite and > 0, t1 is finite and t1 >= t0."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not math.isfinite(t1):
@@ -169,18 +174,21 @@ def _half_steps(t0: float, t1: float, dt: float):
     nsteps = max(1, round((t1 - t0) / dt)) if t1 > t0 else 0
     h = (t1 - t0) / max(nsteps, 1)
     ends = list(accumulate([h] * nsteps, initial=t0))
+    ends[-1] = t1
     return h, [(t + 0.5 * h, end) for t, end in zip(ends, ends[1:])]
 
 
 @dataclass
 class GridWavefunction:
-    """Complex field on the tensor grid (0, r0] x [0, 2 pi)."""
+    """Complex field on the tensor grid (0, r0] x [0, 2 pi); ValueError unless
+    r0 is finite and > 0."""
 
     values: np.ndarray  # (nr, ntheta) complex
     r0: float
     time: float = 0.0
 
     def __post_init__(self):
+        _check_r0(self.r0)
         # a copy, so that zeroing the Dirichlet row leaves the caller's array alone
         self.values = np.array(self.values, dtype=complex)
         if self.values.ndim != 2:
@@ -241,6 +249,8 @@ class EffectiveOperator:
     and ``dil`` = i hbar Rdot/R (a number, or its theta-node samples) into
     the Fourier blocks (every Delta m = 0 part, dil's mean included), the
     Delta m = +-1, +-2 bands (none if scales[1] = scales[2] = 0) and dil's rest.
+    ValueError unless r0 is finite and > 0, ``scales`` holds three numbers
+    and ``dil`` is a number or has shape (ntheta,).
     """
 
     nr: int
@@ -255,9 +265,15 @@ class EffectiveOperator:
             raise ValueError(f"grid too coarse for the stencils (need >= {MIN_GRID})")
         if self.ntheta % 2:
             raise ValueError("ntheta must be even")
+        _check_r0(self.r0)
+        if np.shape(self.scales) != (3,):
+            raise ValueError(f"scales must hold three numbers, got {self.scales!r}")
+        dil = np.asarray(self.dil, dtype=complex)
+        if dil.shape not in ((), (self.ntheta,)):
+            raise ValueError(f"dil must be a number or its samples on the {self.ntheta} "
+                             f"theta nodes, got shape {dil.shape}")
         table = _fourier_table(self.nr, self.ntheta, self.r0)
         s0, s1, s2 = self.scales
-        dil = np.asarray(self.dil, dtype=complex)
         mean = dil.mean()
         blocks = s0 * table[0, 0]
         if s2:
@@ -370,34 +386,50 @@ def _norm(u: np.ndarray) -> float:
     return math.sqrt(_dot(u, u).real)
 
 
+def _givens(f: complex, g: float):
+    """(c, s, r) with [[c, s], [-conj(s), c]] (f, g) = (r, 0), c real, for f
+    a Python complex and g real and >= 0: zlartg's unscaled formulas, bit
+    for bit.  Its quotients and product are Python's complex ones, as zlartg
+    forms them, so that even the signs of zero parts agree (a numpy complex
+    quotient multiplies by a reciprocal).  zlartg takes other branches only
+    for |f| or g outside about [1e-77, 1e77]; GMRES's entries are norms and
+    inner products of unit Krylov vectors under an operator of order one, so
+    they never get there."""
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        return 0.0, complex(1.0, -0.0), complex(g)
+    f2 = f.real * f.real + f.imag * f.imag
+    h2 = f2 + g * g
+    c, d = math.sqrt(f2 / h2), math.sqrt(f2 * h2)
+    return c, complex(g, -0.0) * (f / complex(d)), f / complex(c)
+
+
 def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
            max_iter: int):
     """Left-preconditioned restarted GMRES (Saad & Schultz 1986) for
     matvec(x) = b from x0, preconditioner psolve ~ matvec^-1.
 
-    scipy's ``gmres`` iteration, with every reduction and update on the
-    (nr - 1, ntheta) fields done by ufuncs.  Each cycle of at most
-    ``_RESTART`` inner iterations stops early once the preconditioned
-    residual estimate passes an inner tolerance, which starts from ||psolve(b)||
-    and adapts to how well the last estimate predicted the true residual
-    (scipy gh-8400).  It ends after ``max_iter`` inner iterations in all, or
-    once the true residual ||b - matvec(x)|| <= rtol ||b||.  Returns
-    (x, inner iterations, ||b - matvec(x)|| / ||b||).
+    Every reduction and update on the (nr - 1, ntheta) fields is a ufunc, and
+    each plane rotation is :func:`_givens`.  A cycle of at most ``_RESTART``
+    inner iterations stops early once the preconditioned residual estimate
+    has fallen by the factor rtol ||b|| / ||r|| that the true residual r still
+    has to fall.  It ends after ``max_iter`` inner iterations in all, or once
+    the true residual ||b - matvec(x)|| <= rtol ||b||.  Returns (x, inner
+    iterations, ||b - matvec(x)|| / ||b||).
     """
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     atol = rtol * bnorm
     eps = np.finfo(float).eps
-    ptol_max_factor = 1.0
-    ptol = _norm(psolve(b)) * min(1.0, rtol)
     x = np.array(x0, order="C")
     r = b - matvec(x)
     rnorm = _norm(r)
     if rnorm / bnorm <= rtol:  # the test propagate applies to the result
         return x, 0, rnorm / bnorm
     v = np.empty((_RESTART + 1,) + b.shape, dtype=complex)  # Krylov basis
-    h = np.zeros((_RESTART, _RESTART + 1), dtype=complex)  # Hessenberg, by column
+    h = np.zeros((_RESTART, _RESTART), dtype=complex)  # rotated Hessenberg, by column
     givens = np.zeros((_RESTART, 2), dtype=complex)
     inner = 0
     while True:
@@ -405,7 +437,7 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
         s = np.zeros(_RESTART + 1, dtype=complex)  # rotated ||M r|| e_1
         s[0] = _norm(v[0])
         v[0] *= 1.0 / s[0]
-        breakdown = False
+        ptol = s[0].real * atol / rnorm
         for col in range(_RESTART):
             w = psolve(matvec(v[col]))
             h0 = _norm(w)
@@ -414,19 +446,17 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
                 w -= h[col, k] * v[k]
             h1 = _norm(w)
             v[col + 1] = w
-            if h1 <= eps * h0:  # the Krylov space holds the solution
-                h[col, col + 1] = 0.0
-                breakdown = True
+            breakdown = h1 <= eps * h0  # the Krylov space holds the solution
+            if breakdown:
+                h1 = 0.0
             else:
-                h[col, col + 1] = h1
                 v[col + 1] *= 1.0 / h1
             for k in range(col):
                 c, sn = givens[k]
                 n0, n1 = h[col, k], h[col, k + 1]
                 h[col, k], h[col, k + 1] = c * n0 + sn * n1, -sn.conjugate() * n0 + c * n1
-            c, sn, mag = lapack.lartg(h[col, col], h[col, col + 1])
+            c, sn, h[col, col] = _givens(complex(h[col, col]), h1)
             givens[col] = c, sn
-            h[col, col], h[col, col + 1] = mag, 0.0
             s[col], s[col + 1] = c * s[col], -sn.conjugate() * s[col]
             presid = abs(s[col + 1])
             inner += 1
@@ -446,11 +476,6 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
         rnorm = _norm(r)
         if rnorm / bnorm <= rtol or breakdown or inner == max_iter:
             return x, inner, rnorm / bnorm
-        if presid <= ptol:  # inner estimate met, true residual not: tighten
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
 
 
 def _operator(op_factory, t: float, grid: tuple) -> EffectiveOperator:

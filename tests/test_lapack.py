@@ -1,6 +1,6 @@
-"""The ctypes wrappers of numpy's OpenBLAS LAPACK (gtsv, Factor, lartg)
-against scipy.linalg.lapack, which the tests keep as an independent
-reference."""
+"""The ctypes wrappers of numpy's OpenBLAS LAPACK (gtsv, Factor), and the CN
+oracle's plane rotation, against scipy.linalg.lapack, which the tests keep
+as an independent reference."""
 
 import os
 import subprocess
@@ -58,13 +58,21 @@ def test_zgttrf_and_zgttrs_match_scipy_bit_for_bit(n):
     _assert_bits([_lapack.Factor(dl, d, du).solve(b)], [x])
 
 
-def test_zlartg_matches_scipy_bit_for_bit():
+def test_givens_matches_scipy_zlartg_bit_for_bit():
+    # GMRES's plane rotation, f complex and g = h1 a norm; |f| and g spread
+    # over 1e-15 to 1e4, and the exact zeros of either sign
     rng = np.random.default_rng(1000)
-    f = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-    g = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-    pairs = list(zip(f, g)) + [(f[0], 0j), (0j, g[0]), (0j, 0j)]
+    f = (rng.normal(size=1000) + 1j * rng.normal(size=1000)) * 10.0 ** rng.uniform(-15, 4, 1000)
+    g = np.abs(rng.normal(size=1000)) * 10.0 ** rng.uniform(-15, 4, 1000)
+    pairs = list(zip(f.tolist(), g.tolist()))
+    for z in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        pairs += [(z, 2.0), (z, 0.0), (z, -0.0)]
+    for fk in (1.5 + 2j, complex(-1.0, -0.0), complex(1.0, -0.0), complex(-0.0, -1.0),
+               complex(-1.0, 0.0), -3j):
+        pairs += [(fk, 0.0), (fk, -0.0), (fk, 2.0)]
+    pairs += [(0j, 3.0), (0j, 0.0)]
     for fk, gk in pairs:
-        _assert_bits(_lapack.lartg(fk, gk), reference.zlartg(fk, gk))
+        _assert_bits(oracle._givens(fk, gk), reference.zlartg(fk, gk))
 
 
 @pytest.mark.parametrize("n", [1, 2])

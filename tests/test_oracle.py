@@ -4,6 +4,7 @@ import math
 import os
 import re
 from functools import lru_cache
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,29 @@ def test_deformed_step_through_a_gmres_restart_matches_a_dense_solve(deformed_sp
     assert len(calls) > 23  # right-hand side, first residual, 20 iterations, restart
 
 
+def test_gmres_preconditions_only_at_cycle_starts_and_inner_iterations():
+    # one psolve per cycle start and per inner iteration; matvec adds the
+    # first residual.  The solve restarts at least once.
+    rng = np.random.default_rng(3)
+    n = 60
+    a = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    calls = {"matvec": 0, "psolve": 0}
+
+    def matvec(x):
+        calls["matvec"] += 1
+        return a @ x
+
+    def psolve(x):
+        calls["psolve"] += 1
+        return x.copy()
+
+    x, inner, resid = oracle._gmres(matvec, psolve, b, np.zeros(n, dtype=complex), 1e-11, 60)
+    assert inner > oracle._RESTART and resid <= 1e-11
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert calls["psolve"] == calls["matvec"] - 1
+
+
 def _no_gmres(*args, **kwargs):
     raise AssertionError("gmres called for a theta-constant operator")
 
@@ -550,7 +574,50 @@ def test_propagate_rejects_a_t1_past_the_collapse():
     psi0 = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, 32, 16)
     with pytest.raises(ValueError, match=re.escape("t = 2.004 is outside the box's span")):
         oracle.propagate(fac, psi0, 2.004, 0.01)
-    assert oracle.propagate(fac, psi0, 1.996, 0.01).time == pytest.approx(1.996)
+    assert oracle.propagate(fac, psi0, 1.996, 0.01).time == 1.996
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.996), (0.37, 1.23)])
+def test_propagate_ends_at_t1_exactly(dilating_spec, t0, t1):
+    # the state was labelled with the sum of its steps, 1.996000000000009 for
+    # 0 -> 1.996; only the last end time changes, no half-step time
+    h, steps = oracle._half_steps(t0, t1, 0.01)
+    ends = list(accumulate([h] * len(steps), initial=t0))
+    assert ends[-1] != t1
+    assert [t for t, _ in steps] == [t + 0.5 * h for t in ends[:-1]]
+    assert [end for _, end in steps] == ends[1:-1] + [t1]
+    psi0 = sample_mode(sf.mode_make(0, 1, dilating_spec), dilating_spec, t0, 32, 16)
+    assert oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, t1,
+                            0.01).time == t1
+
+
+@pytest.mark.parametrize("r0", [-1.0, 0.0, math.nan, math.inf])
+def test_grid_and_operator_reject_a_bad_r0(r0):
+    # r0 = -1 gave a ones field the norm 1.727, nan gave nan and 0 gave 0
+    with pytest.raises(ValueError, match="r0 must be finite and > 0"):
+        oracle.GridWavefunction(np.ones((32, 16)), r0)
+    with pytest.raises(ValueError, match="r0 must be finite and > 0"):
+        oracle.EffectiveOperator(nr=32, ntheta=16, r0=r0, hbar=1.0,
+                                 scales=(-0.5, 0.0, 0.0), dil=0.1j)
+
+
+@pytest.mark.parametrize("scales, dil", [
+    ((-0.5, 0.0, 0.0), np.full(5, 0.1j)),
+    ((-0.5, 0.0, 0.0), np.full((16, 1), 0.1j)),
+    ((-0.5, 0.0, 0.0), np.full((1, 16), 0.1j)),
+    ((-0.5, 0.0), 0.1j),
+    ((-0.5, 0.0, 0.0, 0.0), 0.1j),
+])
+def test_effective_operator_rejects_scales_and_dil_of_the_wrong_shape(scales, dil):
+    # a 5-sample dil on 16 theta nodes failed only in apply, on numpy's
+    # "operands could not be broadcast together with shapes (5,1) (16,31)"
+    grid = dict(nr=32, ntheta=16, r0=1.0, hbar=1.0)
+    with pytest.raises(ValueError, match="scales must hold three" if len(scales) != 3
+                       else r"dil must be .* 16 theta nodes, got shape"):
+        oracle.EffectiveOperator(**grid, scales=scales, dil=dil)
+    for good in (0.1j, np.full(16, 0.1j)):
+        op = oracle.EffectiveOperator(**grid, scales=(-0.5, -0.1, -0.02), dil=good)
+        assert op.apply(np.ones((31, 16), dtype=complex)).shape == (31, 16)
 
 
 @pytest.mark.parametrize("field", ["mu", "hbar", "r0", "kappa"])
