@@ -205,10 +205,9 @@ def disk_inner_product(f: Callable, g: Callable, spec: DomainSpec,
     return complex((vals * rule.weights[:, None]).sum() * (2.0 * math.pi / ntheta))
 
 
-def moving_inner_product(f: Callable, g: Callable, boundary: BoundaryFunction,
-                         spec: DomainSpec, t: float,
+def moving_inner_product(f: Callable, g: Callable, boundary: BoundaryFunction, t: float,
                          nr: int = 128, ntheta: int = 256) -> complex:
-    """<f, g> over the moving star domain r <= R(theta, t) r0.
+    """<f, g> over the moving star domain r <= R(theta, t) r0, r0 of ``boundary.spec``.
 
     The radial rule is rescaled per theta node so the outer limit follows
     the boundary exactly.  ValueError unless ntheta >= 1.
@@ -216,7 +215,7 @@ def moving_inner_product(f: Callable, g: Callable, boundary: BoundaryFunction,
     _check_ntheta(ntheta)
     rule = gauss_legendre(nr, 0.0, 1.0)
     theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
-    rmax = boundary.value(theta, t) * spec.r0          # (ntheta,)
+    rmax = boundary.value(theta, t) * boundary.spec.r0  # (ntheta,)
     rr = rule.nodes[:, None] * rmax[None, :]           # (nr, ntheta)
     ww = rule.weights[:, None] * rmax[None, :]
     tt = np.broadcast_to(theta[None, :], rr.shape)

@@ -43,7 +43,6 @@ __all__ = [
 
 MIN_GRID = 16
 _BRUTE_NR = 160  # Gauss-Legendre radial nodes of the brute-force sandwich
-_BRUTE_NTHETA = 64  # angular nodes of the brute-force sandwich
 
 
 def _grid_radii(nr: int, r0: float) -> np.ndarray:
@@ -584,8 +583,8 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
     i_dil = np.sum(wr * ut * dil_r, axis=-1)
     i_x = np.sum(wr * ut * x_r, axis=-1)
 
-    dtheta = 2.0 * math.pi / _BRUTE_NTHETA
-    theta = np.arange(_BRUTE_NTHETA) * dtheta
+    ntheta = abs(src.m - tgt.m) + 2  # fewest nodes exact for frequencies m_s - m_t +- 1
+    theta, dtheta = _grid_thetas(ntheta), 2.0 * math.pi / ntheta
     eang = np.exp(1j * (src.m - tgt.m) * theta)
     ang_cos = np.sum(np.cos(theta) * eang) * dtheta
     ang_h3 = np.sum((np.cos(theta) + 2j * src.m * np.sin(theta)) * eang) * dtheta
@@ -621,9 +620,11 @@ def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,
 
     Projection onto the co-moving exact solution, so pantographic evolution
     keeps |project|^2 constant and the square is the mode population.  The
-    reference is sampled on spec.r0's grid, so psi on another disk raises
-    ValueError naming both grids.
+    reference is sampled on spec.r0's grid at t, so psi on another disk, or
+    a t other than psi.time, raises ValueError naming both.
     """
+    if t != psi.time:
+        raise ValueError(f"project at t = {t!r} of a field at time {psi.time!r}")
     return grid_from_sampler(lambda r, theta: phi_exact(mode, spec, r, theta, t),
                              spec.r0, psi.nr, psi.ntheta, t).inner(psi)
 

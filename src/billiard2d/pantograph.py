@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .domain import DomainSpec
-from .specfun import RADIAL_QUAD_POINTS, BesselMode, _bessel_j_pair, _check_modes, radial_profile
+from .specfun import BesselMode, _bessel_j_pair, _check_modes, radial_profile
 
 __all__ = [
     "PantographicState",
@@ -28,8 +29,6 @@ __all__ = [
     "energy_rate",
     "mean_energy",
 ]
-
-_RATE_THETA = 512  # angular nodes of the rim integral in energy_rate
 
 
 def alpha(spec: DomainSpec, t) -> float:
@@ -69,7 +68,7 @@ class PantographicState:
 
     Amplitudes are constants of motion; only the phases alpha(t), beta_k(t)
     evolve.  Provides pointwise value and analytic radial derivative of the
-    fixed-picture wavefunction, which is what the energy diagnostics need.
+    fixed-picture wavefunction; the energies sum over m from its _angular.
     """
 
     modes: tuple
@@ -136,23 +135,23 @@ def energy_rate(state, spec: DomainSpec, t) -> float:
     """Boundary-contact energy rate for pantographic dilation.
 
     Edot = -(hbar^2 lamdot / (2 mu lam^3)) * int_0^{2pi} r0^2 |d_r phi|^2 dtheta
-    evaluated on the fixed-disk rim.  The gradient at the rim comes from the
-    state's analytic radial derivative (one-sided finite differences are
-    ill-conditioned exactly where this integrand lives).  Nonpositive for a
-    dilating box.  Raises ValueError when a mode of the state does not belong
-    to spec.r0 or t is not a time of the box (negative, non-finite or at
-    lambda(t) <= 0).
+    on the fixed-disk rim, summed over m exactly as in mean_energy, from each
+    mode's J and J' at its own zero; warns when sum_m |u_m|, which bounds |phi|
+    on the rim, exceeds 1e-8.  Nonpositive for a dilating box.  Raises
+    ValueError when a mode of the state does not belong to spec.r0 or t is
+    not a time of the box.
     """
-    theta = np.arange(_RATE_THETA) * (2.0 * math.pi / _RATE_THETA)
-    rim, grad = state.fields(spec, spec.r0, theta, t)
-    if np.abs(rim).max() > 1e-8:
-        warnings.warn(
-            "state does not vanish on the fixed boundary; contact-term "
-            "energy rate is meaningless", stacklevel=2)
-    integral = float(np.sum(np.abs(grad) ** 2) * (2.0 * math.pi / _RATE_THETA)) * spec.r0**2
-    lam = float(spec.lam(t))
-    pref = -(spec.hbar**2) * spec.kappa / (2.0 * spec.mu * lam**3)
-    return pref * integral
+    a = alpha(spec, t)
+    by_m = {}
+    for mode, b in state._angular(spec, 0.0, t):
+        j, jp = _bessel_j_pair(abs(mode.m), mode.zero)
+        u, du = by_m.get(mode.m, (0.0, 0.0))
+        by_m[mode.m] = (u + b * j, du + b * (mode.k * jp + 2j * a * spec.r0 * j))
+    if sum(abs(u) for u, _ in by_m.values()) > 1e-8:
+        warnings.warn("state does not vanish on the fixed boundary; contact-term "
+                      "energy rate is meaningless", stacklevel=2)
+    integral = 2.0 * math.pi * spec.r0**2 * float(sum(abs(du) ** 2 for _, du in by_m.values()))
+    return -(spec.hbar**2) * spec.kappa / (2.0 * spec.mu * float(spec.lam(t)) ** 3) * integral
 
 
 def mean_energy(state, spec: DomainSpec, t) -> float:
@@ -170,7 +169,7 @@ def mean_energy(state, spec: DomainSpec, t) -> float:
     a = alpha(spec, t)
     by_m = {}
     for mode, b in state._angular(spec, 0.0, t):
-        rule, j, jp, _ = radial_profile(abs(mode.m), mode.n, spec.r0, RADIAL_QUAD_POINTS)
+        rule, j, jp, _ = radial_profile(abs(mode.m), mode.n, spec.r0, specfun.RADIAL_QUAD_POINTS)
         r = rule.nodes
         du, dth = by_m.get(mode.m, (0.0, 0.0))
         by_m[mode.m] = (du + b * (jp + 2j * a * r * j), dth + b * mode.m * j / r)

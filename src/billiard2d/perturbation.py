@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import specfun
 from .domain import DomainSpec
 from .pantograph import beta
-from .specfun import RADIAL_QUAD_POINTS, BesselMode, _check_modes, radial_profile
+from .specfun import BesselMode, _check_modes, radial_profile
 
 __all__ = [
     "ModePair",
@@ -92,8 +93,8 @@ def _w_values(pair: ModePair, spec: DomainSpec) -> tuple:
     """W^(1)..W^(4) of a pair from the shared radial table (see w_integral)."""
     tgt, src = pair.target, pair.source
     _check_modes((src, tgt), spec)
-    rule, jt, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, RADIAL_QUAD_POINTS)
-    _, js, djs, _ = radial_profile(abs(src.m), src.n, spec.r0, RADIAL_QUAD_POINTS)
+    rule, jt, _, _ = radial_profile(abs(tgt.m), tgt.n, spec.r0, specfun.RADIAL_QUAD_POINTS)
+    _, js, djs, _ = radial_profile(abs(src.m), src.n, spec.r0, specfun.RADIAL_QUAD_POINTS)
     r, w = rule.nodes, rule.weights
     aa = tgt.norm * src.norm
     return (float(aa * np.sum(w * jt * (js / r + djs))),
@@ -104,7 +105,7 @@ def _w_values(pair: ModePair, spec: DomainSpec) -> tuple:
 
 def w_integral(k: int, pair: ModePair, spec: DomainSpec) -> float:
     """Radial integral W^(k), k in 1..4, with the analytic Bessel derivative,
-    on the module's RADIAL_QUAD_POINTS-node Gauss rule (read at call time).
+    on specfun's RADIAL_QUAD_POINTS-node Gauss rule (read at call time).
 
     W1 = A A' int J (1/r + d_r) J' dr        (measure dr)
     W2 = A A' int r J J' dr

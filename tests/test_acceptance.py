@@ -87,7 +87,7 @@ def test_criterion_2_unitarity_of_picture_map(deformed_spec):
                                        nr=96, ntheta=128)
             moving = moving_inner_product(
                 to_moving(states[i], bnd, t), to_moving(states[j], bnd, t),
-                bnd, spec, t, nr=96, ntheta=128)
+                bnd, t, nr=96, ntheta=128)
             worst = max(worst, abs(fixed - moving))
     elapsed = time.time() - t0
     assert worst < 1e-10
@@ -318,8 +318,9 @@ def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
     moved = {}
 
     # the W, F and TDPT-population settings, at their defaults and with the
-    # radial rule doubled and the F tolerance tightened 4x (module settings,
-    # read at call time by w_integral, f_integral and amplitudes)
+    # radial rule doubled and the F tolerance tightened 4x (module settings of
+    # specfun and perturbation, read at call time by w_integral, f_integral
+    # and amplitudes)
     pair = pt.ModePair(source=sf.mode_make(0, 1, spec5),
                        target=sf.mode_make(1, 2, spec5))
     initial = sf.mode_make(0, 1, spec5)
@@ -335,9 +336,9 @@ def test_criterion_9_convergence_guards(dilating_spec, monkeypatch):
                 pt.amplitudes(initial, targets, spec5, times),
                 [pt.f_integral(k, ramp_pair, ramp, 2.0) for k in (1, 2, 3, 4, 5)])
 
-    assert (pt.RADIAL_QUAD_POINTS, pt._F_TOL) == (128, 1e-10)
+    assert (sf.RADIAL_QUAD_POINTS, pt._F_TOL) == (128, 1e-10)
     wa, fa, ta, ra = guarded()
-    monkeypatch.setattr(pt, "RADIAL_QUAD_POINTS", 256)
+    monkeypatch.setattr(sf, "RADIAL_QUAD_POINTS", 256)
     monkeypatch.setattr(pt, "_F_TOL", 2.5e-11)
     wb, fb, tb, rb = guarded()
     monkeypatch.undo()

@@ -339,3 +339,14 @@ def test_sidecar_round_trips_the_resolved_config(text):
     payload["initial"] = tuple(payload["initial"])
     payload["targets"] = [tuple(t) for t in payload["targets"]]
     assert cli.RunConfig(**payload) == cfg
+
+
+def test_committed_fig1_sidecar_is_a_config_the_cli_accepts():
+    # the sidecar kept nr, ntheta and dt after the CLI deleted those keys
+    side = Path(__file__).resolve().parents[1] / "artifacts" / "fig1_populations.csv.json"
+    payload = json.loads(side.read_text(encoding="utf-8"))
+    assert set(payload) <= {f.name for f in dataclasses.fields(cli.RunConfig)}
+    payload["initial"] = tuple(payload["initial"])
+    payload["targets"] = [tuple(t) for t in payload["targets"]]
+    fig1 = cli.parse_config("n_samples = 51\nout = artifacts/fig1_populations.csv\n")
+    assert cli.RunConfig(**payload) == fig1

@@ -101,7 +101,7 @@ def test_radius_rejects_a_non_finite_schedule():
     for call in (lambda: radius(spec, [0.0, 1.0], 1.5),
                  lambda: radius(spec, 0.0, np.array([0.5, 1.5, 2.0])),
                  lambda: bnd.value(0.0, 1.5),
-                 lambda: moving_inner_product(one, one, bnd, spec, 1.5, nr=8, ntheta=8),
+                 lambda: moving_inner_product(one, one, bnd, 1.5, nr=8, ntheta=8),
                  lambda: radius_linearized(spec, 0.0, 1.5),
                  lambda: oracle.brute_element(_pair(spec), spec, 1.5)):
         with pytest.raises(ValueError, match=r"non-finite boundary eps g or eps gdot at t = 1\.5"):
@@ -264,6 +264,14 @@ def test_disk_inner_product_counts_every_theta_column():
     assert area == pytest.approx(math.pi * 1.3**2, rel=1e-14)
 
 
+def test_moving_inner_product_integrates_to_the_boundarys_own_wall():
+    # r0 comes from boundary.spec: the area of the r0 = 1.3 disk at lambda = 1.2
+    bnd = BoundaryFunction.pantographic_from(DomainSpec(r0=1.3, kappa=0.1))
+    one = lambda r, th: np.ones_like(r)
+    area = moving_inner_product(one, one, bnd, 2.0, nr=16, ntheta=16)
+    assert area == pytest.approx(math.pi * (1.2 * 1.3) ** 2, rel=1e-13)
+
+
 @pytest.mark.parametrize("ntheta", [0, -4])
 def test_inner_products_reject_an_empty_angular_rule(ntheta):
     # 0 raised ZeroDivisionError; -4 made moving_inner_product return 0
@@ -273,7 +281,7 @@ def test_inner_products_reject_an_empty_angular_rule(ntheta):
     with pytest.raises(ValueError, match="ntheta"):
         disk_inner_product(one, one, spec, nr=8, ntheta=ntheta)
     with pytest.raises(ValueError, match="ntheta"):
-        moving_inner_product(one, one, bnd, spec, 1.0, nr=8, ntheta=ntheta)
+        moving_inner_product(one, one, bnd, 1.0, nr=8, ntheta=ntheta)
 
 
 @given(epsilon=st.floats(0.0, 0.6), kappa=st.floats(0.01, 0.3),
@@ -297,7 +305,7 @@ def test_unitarity_inner_products(epsilon, kappa, t, seed):
     f1, f2 = make_state(), make_state()
     fixed = disk_inner_product(f1, f2, spec, nr=96, ntheta=128)
     moving = moving_inner_product(to_moving(f1, bnd, t), to_moving(f2, bnd, t),
-                                  bnd, spec, t, nr=96, ntheta=128)
+                                  bnd, t, nr=96, ntheta=128)
     assert abs(fixed - moving) < 1e-10 * max(1.0, abs(fixed))
 
 
@@ -307,5 +315,5 @@ def test_norm_preservation_under_map(deformed_spec):
     phi = lambda r, th: sf.eigenmode_value(mode, r, th)
     t = 8.0
     psi = to_moving(phi, bnd, t)
-    nrm = moving_inner_product(psi, psi, bnd, deformed_spec, t)
+    nrm = moving_inner_product(psi, psi, bnd, t)
     assert abs(nrm - 1.0) < 1e-10

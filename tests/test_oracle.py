@@ -104,6 +104,17 @@ def test_project_rejects_a_state_on_another_disk():
         oracle.project(psi, sf.mode_make(0, 1, large), large, 0.0)
 
 
+def test_project_rejects_a_time_other_than_the_fields():
+    # on 128 x 16, a (0,1) field at t = 1 projected with t = 2 read 1.0000186
+    # in place of 1.0000190, with no error
+    spec = DomainSpec(kappa=0.1, gamma=0.5)
+    mode = sf.mode_make(0, 1, spec)
+    psi = sample_mode(mode, spec, 1.0, 128, 16)
+    with pytest.raises(ValueError, match=r"t = 2\.0 of a field at time 1\.0"):
+        oracle.project(psi, mode, spec, 2.0)
+    assert abs(oracle.project(psi, mode, spec, 1.0)) == pytest.approx(1.0000190, abs=1e-7)
+
+
 def test_h3_vanishes_for_pantographic_boundary(dilating_spec):
     op = pantographic_factory(dilating_spec, 64, 16)(3.0)
     # H1 (profile 0: lap and the d_theta^2 / r^2 part) and a constant H2
@@ -792,6 +803,19 @@ def test_brute_element_forbidden_pair(deformed_spec, m, n, m2, n2, s):
     assert pt.element(forbidden, spec, s).total == 0
     assert (abs(oracle.brute_element(forbidden, spec, s))
             <= 1e-12 * abs(oracle.brute_element(allowed, spec, s)))
+
+
+def test_brute_element_theta_rule_is_exact_for_any_m_gap(deformed_spec):
+    # the angular rule is sized from the pair: on 64 fixed nodes the
+    # (0,1) -> (63,1) integrand aliased, and the element read 0.2 of the
+    # allowed (0,1) -> (1,1) one
+    spec = deformed_spec
+    source = sf.mode_make(0, 1, spec)
+    forbidden = pt.ModePair(source=source, target=sf.mode_make(63, 1, spec))
+    allowed = pt.ModePair(source=source, target=sf.mode_make(1, 1, spec))
+    for s in (0.5, 3.0, 7.0):
+        assert (abs(oracle.brute_element(forbidden, spec, s))
+                < 1e-14 * abs(oracle.brute_element(allowed, spec, s)))
 
 
 def test_brute_element_at_release_time(deformed_spec):

@@ -84,9 +84,9 @@ def test_w1_against_simpson_oracle(spec):
 def test_w_integrals_stable_under_order_doubling(spec, monkeypatch):
     pairs = [pair_of(spec, tgt, src)
              for tgt, src in [((1, 1), (0, 1)), ((3, 4), (2, 2)), ((-1, 2), (0, 3))]]
-    assert pt.RADIAL_QUAD_POINTS == 128
+    assert sf.RADIAL_QUAD_POINTS == 128
     a = [pt.w_integral(k, p, spec) for p in pairs for k in (1, 2, 3, 4)]
-    monkeypatch.setattr(pt, "RADIAL_QUAD_POINTS", 256)
+    monkeypatch.setattr(sf, "RADIAL_QUAD_POINTS", 256)
     b = [pt.w_integral(k, p, spec) for p in pairs for k in (1, 2, 3, 4)]
     assert 0.0 < max(abs(x - y) for x, y in zip(a, b)) < 1e-10
 
