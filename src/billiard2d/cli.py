@@ -222,7 +222,8 @@ def _task_validate(cfg: RunConfig, out: Path) -> int:
         for b in modes[i:]:
             val = disk_inner_product(
                 lambda r, th, mo=a: specfun.eigenmode_value(mo, r, th),
-                lambda r, th, mo=b: specfun.eigenmode_value(mo, r, th), spec)
+                lambda r, th, mo=b: specfun.eigenmode_value(mo, r, th), spec,
+                ntheta=abs(a.m - b.m) + 1)  # exact for e^{i (m_b - m_a) theta}
             want = 1.0 if a == b else 0.0
             gram_err = max(gram_err, abs(val - want))
     checks.append(("eigenmode Gram identity", gram_err, 1e-10))

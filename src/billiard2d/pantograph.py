@@ -18,7 +18,7 @@ import numpy as np
 
 from . import specfun
 from .domain import DomainSpec
-from .specfun import BesselMode, _bessel_j_pair, _check_modes, radial_profile
+from .specfun import BesselMode, _bessel_j_pair, _bessel_rows, _check_modes, radial_profile
 
 __all__ = [
     "PantographicState",
@@ -77,6 +77,10 @@ class PantographicState:
     def __post_init__(self):
         if len(self.modes) != len(self.amplitudes):
             raise ValueError("one amplitude per mode")
+        keys = [(mode.m, mode.n) for mode in self.modes]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"mode (m, n) = {key} is listed twice")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if not abs(total - 1.0) <= 1e-12:  # also rejects nan and inf
             raise ValueError(f"state not normalized: sum |c|^2 = {total!r}")
@@ -107,12 +111,18 @@ class PantographicState:
                  * np.exp(1j * (mode.m * theta + beta(mode, spec, t))))
                 for mode, c in zip(self.modes, self.amplitudes)]
 
-    def fields(self, spec: DomainSpec, r, theta, t):
-        """(phi, d_r phi); time enters only through alpha and beta.
+    def value(self, spec: DomainSpec, r, theta, t):
+        """phi: J_{|m|}(k r) times the angular factors, dressed with
+        e^{i alpha r^2}; time enters only through alpha and beta."""
+        r = np.asarray(r, dtype=float)
+        u = 0.0
+        for mode, ang in self._angular(spec, theta, t):
+            u = u + _bessel_rows((abs(mode.m),), mode.k * r)[0] * ang
+        return np.exp(1j * alpha(spec, t) * r**2) * u
 
-        Radial J_{|m|}(k r) and k J' times the angular factors, dressed with
-        e^{i alpha r^2}, which adds 2 i alpha r phi to d_r phi.
-        """
+    def d_dr(self, spec: DomainSpec, r, theta, t):
+        """Radial derivative, analytic: k A J' e^{im theta} per mode; the
+        dressing e^{i alpha r^2} adds 2 i alpha r phi."""
         r = np.asarray(r, dtype=float)
         u = du = 0.0
         for mode, ang in self._angular(spec, theta, t):
@@ -120,15 +130,7 @@ class PantographicState:
             u = u + j * ang
             du = du + mode.k * jp * ang
         a = alpha(spec, t)
-        dress = np.exp(1j * a * r**2)
-        return dress * u, dress * (du + 2j * a * r * u)
-
-    def value(self, spec: DomainSpec, r, theta, t):
-        return self.fields(spec, r, theta, t)[0]
-
-    def d_dr(self, spec: DomainSpec, r, theta, t):
-        """Radial derivative, analytic: phase term plus k A J' e^{im theta}."""
-        return self.fields(spec, r, theta, t)[1]
+        return np.exp(1j * a * r**2) * (du + 2j * a * r * u)
 
 
 def energy_rate(state, spec: DomainSpec, t) -> float:

@@ -118,6 +118,35 @@ def test_state_rejects_non_finite_and_zero_norm_amplitudes(dilating_spec):
             pg.PantographicState.superposition([mode], amps)
 
 
+def test_state_rejects_a_repeated_mode(dilating_spec):
+    # [m01, m01] would describe a state of norm 2, whose mean_energy reads
+    # twice the eigenvalue
+    m01 = sf.mode_make(0, 1, dilating_spec)
+    m11 = sf.mode_make(1, 1, dilating_spec)
+    with pytest.raises(ValueError, match=r"\(0, 1\) is listed twice"):
+        pg.PantographicState.superposition([m01, m11, m01], [1, 1, 1])
+    pg.PantographicState.superposition([m11, sf.mode_make(-1, 1, dilating_spec)], [1, 1])
+
+
+@pytest.mark.parametrize("m,orders", [(0, [0, 1]), (2, [1, 2, 3]), (-3, [2, 3, 4])])
+def test_each_accessor_takes_only_the_bessel_orders_it_returns(dilating_spec, monkeypatch, m, orders):
+    state = pg.PantographicState.single(sf.mode_make(m, 1, dilating_spec))
+    requested = []
+    jn = sf._jn_ufunc
+
+    def recorder(order, x):
+        requested.extend(np.ravel(order).tolist())
+        return jn(order, x)
+
+    monkeypatch.setattr(sf, "_jn_ufunc", recorder)
+    r, th = np.linspace(0.1, 0.9, 5)[:, None], np.linspace(0.0, 6.0, 4)[None, :]
+    state.value(dilating_spec, r, th, 2.0)
+    assert requested == [abs(m)]
+    requested.clear()
+    state.d_dr(dilating_spec, r, th, 2.0)
+    assert requested == orders
+
+
 def test_population_constancy_under_exact_evolution(dilating_spec):
     # project the evolving two-mode state onto each moving-picture solution:
     # |<psi_k(t), Psi(t)>|^2 must not depend on t

@@ -53,3 +53,11 @@ def test_radial_quad_points_is_read_by_w_and_mean_energy(monkeypatch):
     assert w256 != w128
     assert e256 != e128
     assert e256 == pytest.approx(e128, rel=1e-12)
+
+
+def test_version_has_one_home_in_the_package():
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "billiard2d.__version__"}
