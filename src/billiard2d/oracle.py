@@ -601,17 +601,11 @@ def brute_element(pair, spec: DomainSpec, s, dressed: bool = True,
 
 def brute_element_integrated(pair, spec: DomainSpec, t: float,
                              abs_tol: float = 1e-9) -> complex:
-    """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive quadrature of the sandwich;
-    the phase's panel split reads lambda(t), and so checks t, before any panel."""
-    de = pair.target.energy - pair.source.energy
-
-    def phase(s):
-        return de * s / (spec.hbar * spec.lam(s))
-
-    def f(svals):
-        return brute_element(pair, spec, svals)
-
-    return complex(adaptive_quad_vec(f, 0.0, t, abs_tol, phase=phase))
+    """int_0^t <phi|H^(1)(s)|phi'> ds by adaptive Gauss-Kronrod quadrature of the
+    sandwich, bisecting from the one panel [0, t]; lambda(t) is read first, so a
+    t past the collapse raises ValueError before any panel."""
+    spec.lam(t)
+    return complex(adaptive_quad_vec(lambda s: brute_element(pair, spec, s), 0.0, t, abs_tol))
 
 
 def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,

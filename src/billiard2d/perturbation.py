@@ -61,13 +61,11 @@ class ModePair:
 
 @dataclass(frozen=True)
 class ElementBreakdown:
-    """Contributions of the three first-order operators plus their pieces."""
+    """Contributions of the three first-order operators."""
 
     h1: complex
     h2: complex
     h3: complex
-    fvals: tuple          # F^(1)..F^(5) time integrals
-    wvals: tuple | None   # W^(1)..W^(4) radial integrals (None if forbidden)
 
     @property
     def total(self) -> complex:
@@ -294,12 +292,10 @@ def element(pair: ModePair, spec: DomainSpec, t: float) -> ElementBreakdown:
     """
     spec.lam(t)  # a forbidden pair computes nothing, but its t must be a time of the box
     if not pair.allowed:
-        return ElementBreakdown(0j, 0j, 0j, fvals=(0j,) * 5, wvals=None)
+        return ElementBreakdown(0j, 0j, 0j)
     fvals = _f_values([_omega(pair, spec)], spec, [t], _F_TOL)[0]
-    wvals = _w_values(pair, spec)
-    h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, wvals))
-    return ElementBreakdown(h1, h2, h3, fvals=tuple(map(complex, fvals[0])),
-                            wvals=tuple(wvals))
+    h1, h2, h3 = (complex(h[0]) for h in _assemble(pair, spec, fvals, _w_values(pair, spec)))
+    return ElementBreakdown(h1, h2, h3)
 
 
 @dataclass

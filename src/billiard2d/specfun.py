@@ -1,11 +1,12 @@
 """Special-function kernel: integer-order Bessel J, its zeros, disk
-eigenmodes and Gauss-Legendre quadrature.
+eigenmodes, Gauss-Legendre quadrature and adaptive Gauss-Kronrod quadrature.
 
 J_m comes from the C math library's ``jn(int, double)`` (POSIX), bound once
 with ctypes, and its zeros from a sign-change scan and bisection on the same
 ``jn``; the Gauss-Legendre nodes from ``numpy.polynomial.legendre.leggauss``,
-and mode norms from their closed form.  All routines are pure functions;
-cached tables are read-only.
+the Gauss-Kronrod 7/15 pair from QUADPACK's published table, and mode norms
+from their closed form.  All routines are pure functions; cached tables are
+read-only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,24 @@ __all__ = [
 RADIAL_QUAD_POINTS = 128
 # Bisections of an adaptive_quad_vec panel before it is accepted with a warning.
 _QUAD_MAX_DEPTH = 48
+# QUADPACK's qk15 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+# QUADPACK, Springer 1983): the Kronrod nodes x > 0 descending, then 0; their
+# K15 weights; and the G7 weights at x[1], x[3], x[5] and 0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# the 15 nodes on [-1, 1] ascending and their weights; the odd-indexed nodes
+# are the 7 Gauss nodes
+_KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_GAUSS_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 # Mode indices |m| and n stay below this: jn costs O(m) per call, and the scan
 # for the n-th zero takes about n steps.
 _MAX_INDEX = 5000
@@ -256,48 +275,34 @@ def eigenmode_value(mode: BesselMode, r, theta):
     return (2.0 * math.pi) ** -0.5 * mode.norm * radial * ang
 
 
-def adaptive_quad_vec(f, a: float, b: float, abs_tol: float, phase=None):
-    """Adaptive Gauss quadrature of a vector-valued complex integrand.
+def adaptive_quad_vec(f, a: float, b: float, abs_tol: float):
+    """Adaptive Gauss-Kronrod quadrature of a vector-valued complex integrand.
 
-    ``f(s_array)`` must return an array with the node axis last.  Panels are
-    pre-split so the optional ``phase`` function varies by at most pi/4 per
-    panel (oscillatory integrands), then refined by comparing 7- and
-    15-point Gauss rules (their nodes are disjoint, so each panel costs 22
-    integrand evaluations) until the local error estimate is below
-    ``abs_tol`` scaled by the panel fraction.  A zero-width interval is one
-    panel: ``f`` is evaluated only at ``a``, and the result is zeros.  Panels
-    still above the tolerance after the module's ``_QUAD_MAX_DEPTH``
-    bisections (read at call time) are accepted with a UserWarning; a
-    non-finite panel estimate, or an abs_tol that is not finite and > 0,
-    raises ValueError.
+    ``f(s_array)`` must return an array with the node axis last.  The first
+    panel is [a, b]; each panel is one ``f`` call on the 15 nodes of
+    QUADPACK's nested Kronrod rule, whose value is the K15 sum and whose
+    error estimate is |K15 - G7| from the 7 Gauss nodes among them.  A panel
+    is bisected until that estimate is below ``abs_tol`` times its fraction
+    of b - a, floored at 1e-3.  A zero-width interval is one panel: ``f`` is
+    evaluated only at ``a``, and the result is zeros.  Panels still above the
+    tolerance after the module's ``_QUAD_MAX_DEPTH`` bisections (read at call
+    time) are accepted with a UserWarning; a non-finite panel estimate, or an
+    abs_tol that is not finite and > 0, raises ValueError.
     """
     if not b >= a:  # also rejects a nan bound
         raise ValueError(f"need b >= a, got [{a!r}, {b!r}]")
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
-    x7, w7 = _legendre_rule_unit(7)
-    x15, w15 = _legendre_rule_unit(15)
     total_width = b - a
 
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        v15 = np.asarray(f(mid + half * x15), dtype=complex)
-        i15 = half * (v15 @ w15)
-        v7 = np.asarray(f(mid + half * x7), dtype=complex)
-        i7 = half * (v7 @ w7)
-        return i15, np.max(np.abs(i15 - i7))
+        v = np.asarray(f(0.5 * (lo + hi) + half * _KRONROD_NODES), dtype=complex)
+        k15 = half * (v @ _KRONROD_WEIGHTS)
+        g7 = half * (v[..., 1::2] @ _GAUSS_WEIGHTS)
+        return k15, np.max(np.abs(k15 - g7))
 
-    # initial panels from a to b, each capped by the phase variation
-    stack, lo = [], a
-    while not stack or lo < b:
-        step = b - lo
-        while (phase is not None and abs(phase(lo + step) - phase(lo)) > 0.25 * math.pi
-               and step > total_width * 1e-12):
-            step *= 0.5
-        stack.append((lo, min(lo + step, b), 0))
-        lo = stack[-1][1]
-
+    stack = [(a, b, 0)]
     total = 0.0
     unconverged = []
     while stack:

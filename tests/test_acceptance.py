@@ -152,8 +152,17 @@ def test_criterion_4_energy_rate_2d(dilating_spec):
               "negative throughout")
 
 
-def test_criterion_5_appendix_element_fidelity():
+def test_criterion_5_appendix_element_fidelity(monkeypatch):
     t0 = time.time()
+    nodes = 0
+    brute = oracle.brute_element
+
+    def counted(pair, spec, s, **kw):
+        nonlocal nodes
+        nodes += np.size(s)
+        return brute(pair, spec, s, **kw)
+
+    monkeypatch.setattr(oracle, "brute_element", counted)
     spec = DomainSpec(mu=1.0, hbar=1.0, r0=1.0, kappa=0.1, gamma=0.5,
                       epsilon=0.05)
     rng = np.random.default_rng(2024)
@@ -182,8 +191,11 @@ def test_criterion_5_appendix_element_fidelity():
     elapsed = time.time() - t0
     assert worst < 1e-6
     assert elapsed < 120.0
+    # 325 182 integrand nodes with non-nested Gauss 7/15 rules and a phase
+    # pre-split; 68 310 with Gauss-Kronrod 7/15 from the one panel [0, t]
+    assert nodes <= 75_000
     report(5, f"10 random allowed pairs x 3 times vs brute force, worst "
-              f"relative {worst:.2e}, {elapsed:.1f} s")
+              f"relative {worst:.2e}, {nodes} integrand nodes, {elapsed:.1f} s")
 
 
 def _populations_tdpt_vs_cn(eps, nr, ntheta, dt, t_end=50.0, nsamples=21):

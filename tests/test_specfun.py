@@ -313,12 +313,48 @@ def test_adaptive_quad_vec_polynomial_and_oscillatory():
     val = sf.adaptive_quad_vec(lambda s: np.stack([s**3, np.cos(s)]), 0.0, 2.0, 1e-12)
     assert val[0] == pytest.approx(4.0, abs=1e-11)
     assert val[1] == pytest.approx(math.sin(2.0), abs=1e-11)
-    # oscillatory with phase hint
     w = 40.0
-    got = sf.adaptive_quad_vec(lambda s: np.exp(1j * w * s)[None, :],
-                               0.0, 1.0, 1e-12, phase=lambda s: w * s)
+    got = sf.adaptive_quad_vec(lambda s: np.exp(1j * w * s)[None, :], 0.0, 1.0, 1e-12)
     exact = (np.exp(1j * w) - 1.0) / (1j * w)
     assert abs(got[0] - exact) < 1e-11
+
+
+def _monomial_errors(nodes, weights, degrees):
+    # |sum w x^k - int_{-1}^{1} x^k dx| for each k
+    return [abs(weights @ nodes**k - (1 + (-1) ** k) / (k + 1)) for k in degrees]
+
+
+def test_gauss_kronrod_table_is_exact_to_its_degree():
+    # K15 is exact through degree 23 and G7, on the odd-indexed nodes, through 13
+    xk, wk = sf._KRONROD_NODES, sf._KRONROD_WEIGHTS
+    xg, wg = xk[1::2], sf._GAUSS_WEIGHTS
+    assert np.all(np.diff(xk) > 0) and xk.size == 15 and wg.size == 7
+    assert max(_monomial_errors(xk, wk, range(24))) <= 1e-15
+    assert _monomial_errors(xk, wk, [24])[0] > 1e-10
+    assert max(_monomial_errors(xg, wg, range(14))) <= 1e-15
+    assert _monomial_errors(xg, wg, [14])[0] > 1e-5
+    lx, lw = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(xg - lx)) <= 1e-15 and np.max(np.abs(wg - lw)) <= 1e-15
+
+
+def _recording(f):
+    calls = []
+
+    def rec(s):
+        calls.append(np.size(s))
+        return f(s)
+    return rec, calls
+
+
+def test_adaptive_quad_vec_takes_one_call_per_panel():
+    # a degree-13 polynomial is exact in both K15 and G7: one panel, one call
+    rec, calls = _recording(lambda s: np.stack([s**13 - 2.0 * s**6 + 1.0]))
+    got = sf.adaptive_quad_vec(rec, 0.0, 2.0, 1e-12)
+    assert calls == [15]
+    assert got[0] == pytest.approx(2.0**14 / 14 - 2.0 * 2.0**7 / 7 + 2.0, rel=1e-14)
+    rec, calls = _recording(lambda s: np.exp(40j * s)[None, :])
+    sf.adaptive_quad_vec(rec, 0.0, 1.0, 1e-12)
+    assert len(calls) > 1 and set(calls) == {15}
 
 
 @pytest.mark.parametrize("a", [0.25, 0.0])  # at a <= 0 it used to probe a + 1
@@ -329,20 +365,18 @@ def test_adaptive_quad_vec_zero_width_is_one_panel_at_a(a):
         seen.append(np.array(s))
         return np.stack([s, np.exp(s), np.cos(40.0 * s)])
 
-    for phase in (None, lambda s: 40.0 * s):
-        seen.clear()
-        got = sf.adaptive_quad_vec(f, a, a, 1e-12, phase=phase)
-        assert got.shape == (3,) and np.all(got == 0)
-        assert seen and np.all(np.concatenate(seen) == a)
+    got = sf.adaptive_quad_vec(f, a, a, 1e-12)
+    assert got.shape == (3,) and np.all(got == 0)
+    assert seen and np.all(np.concatenate(seen) == a)
 
 
 @given(a=st.floats(-3.0, 3.0), width=st.floats(0.0, 4.0),
        split=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-       w=st.floats(0.0, 30.0), use_phase=st.booleans())
-@example(a=0.0, width=2.0, split=0.0, w=5.0, use_phase=True)
-@example(a=0.0, width=2.0, split=1.0, w=5.0, use_phase=False)
-@example(a=-1.0, width=0.0, split=0.5, w=0.0, use_phase=False)
-def test_adaptive_quad_vec_is_additive_over_a_split(a, width, split, w, use_phase):
+       w=st.floats(0.0, 30.0))
+@example(a=0.0, width=2.0, split=0.0, w=5.0)
+@example(a=0.0, width=2.0, split=1.0, w=5.0)
+@example(a=-1.0, width=0.0, split=0.5, w=0.0)
+def test_adaptive_quad_vec_is_additive_over_a_split(a, width, split, w):
     # int_a^c + int_c^b = int_a^b for a <= c <= b, the ends included
     b = a + width
     c = min(a + split * width, b)  # split = 1 gives c = b exactly
@@ -351,8 +385,7 @@ def test_adaptive_quad_vec_is_additive_over_a_split(a, width, split, w, use_phas
     def f(s):
         return np.stack([np.exp(1j * w * s), np.exp(-0.5 * s * s), s**3 - s])
 
-    phase = (lambda s: w * s) if use_phase else None
-    parts = [sf.adaptive_quad_vec(f, lo, hi, tol, phase=phase)
+    parts = [sf.adaptive_quad_vec(f, lo, hi, tol)
              for lo, hi in ((a, c), (c, b), (a, b))]
     assert np.max(np.abs(parts[0] + parts[1] - parts[2])) <= 3 * tol
 
