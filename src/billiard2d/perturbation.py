@@ -124,7 +124,7 @@ def w_integral(k: int, pair: ModePair, spec: DomainSpec) -> float:
 
 
 _LEVIN_POINTS = 48      # Chebyshev-Lobatto points per Levin panel
-_LEVIN_MAX_DEPTH = 30   # bisections of a graded panel before it is accepted as is
+_LEVIN_MAX_DEPTH = 30   # bisections of a panel before it is accepted as is
 _LEVIN_TAIL = 4         # trailing Chebyshev coefficients that estimate the error
 _ROUNDOFF_TAIL = 64 * 2.0**-52  # tail of an h resolved to rounding (64 ulp of max|h|)
 
@@ -175,14 +175,16 @@ def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
     squares sense is the non-oscillatory antiderivative factor, so
     F(u) = p(u) e^{i omega u} - p(a) e^{i omega a} plus the panels before,
     read off at every sample of the panel by barycentric interpolation.
-    Panels halve their distance to the pole u = 1/kappa one after the other
-    (one panel when kappa <= 0) and are bisected while the trailing
-    Chebyshev coefficients of h exceed tol / u_end, so the summed error
-    stays near `tol`; panels still above it after _LEVIN_MAX_DEPTH
-    bisections are accepted with one UserWarning.  A time the box does not
-    reach (DomainSpec.lam) or a non-finite g or gdot (DomainSpec.g) raises
-    ValueError.  None of this involves omega, so one panel pass serves every
-    frequency: only the solve for p, its read-out and the carry are per omega.
+    The first panel is [0, u_end], and a panel is bisected while the
+    trailing Chebyshev coefficients of h exceed tol / u_end, so the summed
+    error stays near `tol`; each panel forms 1 - kappa u from its own left
+    end, so near the pole u = 1/kappa h carries the rounding of the panel's
+    distance to the pole, not of u.  Panels still above tolerance after
+    _LEVIN_MAX_DEPTH bisections are accepted with one UserWarning.  A time
+    the box does not reach (DomainSpec.lam) or a non-finite g or gdot
+    (DomainSpec.g) raises ValueError.  None of this involves omega, so one
+    panel pass serves every frequency: only the solve for p, its read-out
+    and the carry are per omega.
     """
     hbar, mu, ld = spec.hbar, spec.mu, spec.kappa
     times = np.asarray(times, dtype=float)
@@ -195,9 +197,10 @@ def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
     def s_of(u):
         return u / (1.0 - ld * u)
 
-    def h(u):
-        lam = 1.0 / (1.0 - ld * u)
-        s = u * lam
+    def h(lo, half):
+        v = half * (x + 1.0)
+        lam = 1.0 / ((1.0 - ld * lo) - ld * v)  # the panel's own distance to the pole
+        s = (lo + v) * lam
         g, gd = spec.g(s), spec.gdot(s)
         return np.stack([
             hbar**2 / (2.0 * mu) * g,
@@ -207,23 +210,17 @@ def _f_values(omegas, spec: DomainSpec, times, tol: float) -> np.ndarray:
             -0.5 * mu * ld * gd * lam**3,
         ], axis=-1)
 
-    edges = [0.0]
-    if ld > 0:
-        while 0.5 * (edges[-1] + 1.0 / ld) < u_end:
-            edges.append(0.5 * (edges[-1] + 1.0 / ld))
-    edges.append(u_end)
-
     x, w, diff, tail = _levin_table()
     eye = np.eye(_LEVIN_POINTS)
     limit = tol / u_end
     carry = np.zeros((len(omegas), 5), dtype=complex)
     first = 0
     unconverged = []
-    stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 2, -1, -1)]
+    stack = [(0.0, u_end, 0)]
     while stack:
         lo, hi, depth = stack.pop()
         half = 0.5 * (hi - lo)
-        hv = h(lo + half * (x + 1.0))
+        hv = h(lo, half)
         coeffs = np.abs(tail @ hv).max(axis=0)
         if np.any(coeffs > np.maximum(limit, _ROUNDOFF_TAIL * np.abs(hv).max(axis=0))):
             if depth < _LEVIN_MAX_DEPTH:

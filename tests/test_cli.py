@@ -262,7 +262,7 @@ print(status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 @pytest.mark.parametrize("task", ["modes", "pantograph", "populations", "energy-rate",
                                   "validate"])
-def test_cli_tasks_load_scipy_only_for_validate(task, tmp_path):
+def test_no_cli_task_loads_scipy(task, tmp_path):
     # no task loads scipy, validate included: J and its zeros come from the
     # C library's jn, and the CN oracle takes LAPACK from numpy's own OpenBLAS
     cfgfile = tmp_path / "run.cfg"

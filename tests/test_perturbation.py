@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from billiard2d import oracle
+from billiard2d import cli, oracle
 from billiard2d import perturbation as pt
 from billiard2d import specfun as sf
 from billiard2d.domain import DomainSpec
@@ -415,6 +415,52 @@ def test_one_f_pass_per_call(spec, monkeypatch):
     pt.element(pair, spec, 2.0)
     pt.f_integral(3, pair, spec, 2.0)
     assert passes == [len(family), 1, 1]
+
+
+@pytest.fixture
+def levin_solves(monkeypatch):
+    """Counts np.linalg.lstsq calls (one per Levin panel and target); raises
+    past 1000, so that a pass that would bisect without end fails fast."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise RuntimeError("more than 1000 Levin solves")
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_one_panel_per_smooth_request(spec, levin_solves, tmp_path):
+    # fig1 through the CLI (targets (1,1..4), 51 samples to t = 50) and
+    # criterion 6's eight targets: the first panel [0, u_end] is accepted
+    cfg = cli.parse_config(f"task = populations\nn_samples = 51\n"
+                           f"out = {tmp_path / 'fig1.csv'}\n")
+    assert cli.run(cfg) == 0
+    assert len(levin_solves) == 4
+    initial = sf.mode_make(0, 1, spec)
+    family = [sf.mode_make(m, n, spec) for m in (1, -1) for n in range(1, 5)]
+    levin_solves.clear()
+    pt.amplitudes(initial, family, spec, np.linspace(0.0, 50.0, 21))
+    assert len(levin_solves) == 8
+
+
+@pytest.mark.parametrize("t_end", [3e4, 1e5])
+def test_f_values_near_the_pole(spec, levin_solves, t_end):
+    # kappa t = 3000 and 1e4: 1 - kappa u formed from u at each node is off
+    # by about kappa t ulp relative, more than the tail test allows, so each
+    # panel must measure its own distance to the pole
+    pair = pair_of(spec, (1, 1), (0, 1))
+    times = t_end * np.array([0.0, 0.3, 0.7, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pt._f_values([pt._omega(pair, spec)], spec, times, 1e-12)[0]
+    want = _f_reference(pair, spec, times)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    assert len(levin_solves) <= 30
 
 
 @given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=8),
