@@ -4,8 +4,9 @@ with ctypes from the OpenBLAS that numpy's wheel ships
 symbols are ``scipy_<name>_64_`` and its integers 64-bit).
 
 ``gtsv(dl, d, du, b)`` is one zgtsv, ``Factor(dl, d, du)`` one zgttrf and its
-``solve(b)`` one zgttrs.  A solve copies the bands and b, reads b (any shape
-holding n values) C-order, returns x shaped like b, and raises RuntimeError
+``solve(b)`` one zgttrs.  A solve copies the bands and b, reads b C-order (any
+shape holding n values; for ``gtsv``, k >= 1 right-hand sides of n values
+each, one after the other), returns x shaped like b, and raises RuntimeError
 where LAPACK's info != 0.  A numpy without that library or symbol makes
 importing this module an ImportError; there is no scipy fallback.
 """
@@ -69,11 +70,13 @@ def _bands(dl, d, du):
     return dl, d, du, n
 
 
-def _rhs(b, n: int) -> np.ndarray:
-    """A copy of b, one right-hand side of n values, for LAPACK to overwrite."""
+def _rhs(b, n: int, stack: bool = False) -> np.ndarray:
+    """A copy of b for LAPACK to overwrite: one right-hand side of n values,
+    or with ``stack`` k >= 1 of them."""
     b = _copy(b)
-    if b.size != n:
-        raise ValueError(f"right-hand side of shape {b.shape} does not hold n = {n} values")
+    if not (b.size == n or stack and b.size and b.size % n == 0):
+        raise ValueError(f"right-hand side of shape {b.shape} does not hold "
+                         f"{'a whole number >= 1 of' if stack else 'one'} n = {n} values")
     return b
 
 
@@ -83,11 +86,13 @@ def _check(info: ctypes.c_int64, what: str) -> None:
 
 
 def gtsv(dl, d, du, b) -> np.ndarray:
-    """x with T x = b, T the tridiagonal matrix with bands (dl, d, du): one zgtsv."""
+    """x with T x = b, T the tridiagonal matrix with bands (dl, d, du): one
+    zgtsv, whose columns are b's k consecutive n-vectors (a (k, n) stack)."""
     dl, d, du, n = _bands(dl, d, du)
-    x = _rhs(b, n)
+    x = _rhs(b, n, stack=True)
     nn, info = ctypes.byref(ctypes.c_int64(n)), ctypes.c_int64()
-    _zgtsv(nn, _ONE, _at(dl), _at(d), _at(du), _at(x), nn, ctypes.byref(info))
+    nrhs = ctypes.byref(ctypes.c_int64(x.size // n))
+    _zgtsv(nn, nrhs, _at(dl), _at(d), _at(du), _at(x), nn, ctypes.byref(info))
     _check(info, "solve")
     return x
 

@@ -72,11 +72,12 @@ def _dilation_1d(spec: Box1DSpec) -> np.ndarray:
     return np.array([-np.roll(upper, 1), np.zeros_like(upper), upper])
 
 
-def _generator_1d(spec: Box1DSpec, t: float) -> np.ndarray:
-    """The transformed generator at time t as a flat tridiagonal stack."""
+def _generator_1d(spec: Box1DSpec, t: float, dilation: np.ndarray) -> np.ndarray:
+    """The transformed generator at time t as a flat tridiagonal stack, from
+    the fixed ``dilation`` = _dilation_1d(spec)."""
     lam = float(spec.lam(t))
     c = -spec.hbar**2 / (2.0 * spec.mu * lam**2)
-    return c / spec.dx**2 * _LAPLACE + 1j * spec.hbar * spec.kappa / lam * _dilation_1d(spec)
+    return c / spec.dx**2 * _LAPLACE + 1j * spec.hbar * spec.kappa / lam * dilation
 
 
 def _interior(spec: Box1DSpec, phi) -> np.ndarray:
@@ -90,7 +91,7 @@ def apply_h1d(spec: Box1DSpec, phi, t: float) -> np.ndarray:
     """[-hbar^2/(2 mu R^2) d_xx + i hbar (Rdot/R)(1/2 + x d_x)] phi.
 
     ValueError if t is not a time of the box (see domain.DomainSpec.lam)."""
-    return _tridiag_apply(_generator_1d(spec, t), _interior(spec, phi))
+    return _tridiag_apply(_generator_1d(spec, t, _dilation_1d(spec)), _interior(spec, phi))
 
 
 def dilation_matrix_1d(spec: Box1DSpec) -> np.ndarray:
@@ -129,17 +130,20 @@ def box_eigenmode_1d(spec: Box1DSpec, n: int) -> np.ndarray:
 
 
 def propagate_1d(spec: Box1DSpec, phi, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Crank-Nicolson propagation of the transformed 1D generator: the
-    tridiagonal step of oracle.propagate's theta-constant case, operator
-    frozen at the half step.  ValueError unless dt is finite and > 0, t1 is
-    not before t0, both are times of the box and phi is finite."""
+    """Crank-Nicolson propagation of the transformed 1D generator H, frozen
+    at the half step, in oracle.propagate's Cayley form: y = (I + sH)^-1 phi
+    by one ``_lapack.gtsv``, then phi' = 2y - phi, s = i h / (2 hbar); the
+    dilation stencil is built once per run.  ValueError unless dt is finite
+    and > 0, t1 is not before t0, both are times of the box and phi is
+    finite."""
     h, steps = _half_steps(t0, t1, dt)
     spec.lam((t0, t1))  # the steps check only their half-step times
     phi = _interior(spec, phi).copy()
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
     z = 0.5j * h / spec.hbar
+    dilation = _dilation_1d(spec)
     for t_half, _ in steps:
-        bands = _generator_1d(spec, t_half)
-        phi = lapack.gtsv(*_shifted(bands, z), phi - z * _tridiag_apply(bands, phi))
+        y = lapack.gtsv(*_shifted(_generator_1d(spec, t_half, dilation), z), phi)
+        phi = 2.0 * y - phi
     return phi

@@ -302,8 +302,7 @@ class EffectiveOperator:
         """H_eff applied to xhat = fft(v[:-1], axis=1), the angular spectrum
         of a grid field's interior rows, (nr - 1, ntheta): the form
         :func:`propagate` carries.  Grid fields go through :func:`apply_heff`.
-        The blocks act per wavenumber, the Delta m bands on the spectrum
-        rolled by Delta m, and dil's rest through one inverse/forward FFT pair.
+        The blocks act per wavenumber, then the off-block part is added.
         """
         if xhat.shape != (self.nr - 1, self.ntheta):
             raise ValueError(
@@ -311,20 +310,26 @@ class EffectiveOperator:
                 f"interior rows, got {xhat.shape}; apply_heff takes ({self.nr}, "
                 f"{self.ntheta}) grid fields")
         x = xhat.T  # m-major, as the bands are stored
+        return self._off_block(x, _tridiag_apply(self._blocks, x.reshape(-1))).T
+
+    def _off_block(self, x: np.ndarray, out=None) -> np.ndarray:
+        """C x, or C x added to the flat ``out``, shaped like x: C = H_eff
+        minus its blocks, on an m-major spectrum x, (ntheta, nr - 1).  The
+        Delta m bands act on the spectrum rolled by Delta m, and dil's rest
+        through one inverse/forward FFT pair.  Needs C != 0 or an ``out``."""
         flat = x.reshape(-1)
         n, ni = flat.size, self.nr - 1
-        out = _tridiag_apply(self._blocks, flat)
         if self._couplings:  # wrapped[(m + 2) ni + j] = x[m mod ntheta, j]
             wrapped = np.concatenate((flat[-2 * ni:], flat, flat[:2 * ni]))
             for scale, shifts in self._couplings:
                 source = scale * wrapped
                 for d, bands in shifts:
-                    _tridiag_apply(bands, source[(2 - d) * ni:(2 - d) * ni + n], out)
+                    out = _tridiag_apply(bands, source[(2 - d) * ni:(2 - d) * ni + n], out)
         if self._rest is not None:  # the dilation stencil has no diagonal
             field, bands = self._rest
-            _tridiag_apply(bands, np.fft.fft(field * np.fft.ifft(x, axis=0), axis=0).reshape(-1),
-                           out, diag=False)
-        return out.reshape(x.shape).T
+            out = _tridiag_apply(bands, np.fft.fft(field * np.fft.ifft(x, axis=0), axis=0)
+                                 .reshape(-1), out, diag=False)
+        return out.reshape(x.shape)
 
     def mean_blocks(self):
         """Read-only (lower, diag, upper), each (nr - 1, ntheta), Fourier index
@@ -404,10 +409,12 @@ def _givens(f: complex, g: float):
     return c, complex(g, -0.0) * (f / complex(d)), f / complex(c)
 
 
-def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
+def _gmres(matvec, psolve, pmatvec, b: np.ndarray, x0: np.ndarray, rtol: float,
            max_iter: int):
     """Left-preconditioned restarted GMRES (Saad & Schultz 1986) for
-    matvec(x) = b from x0, preconditioner psolve ~ matvec^-1.
+    matvec(x) = b from x0, preconditioner psolve ~ matvec^-1: psolve of each
+    true residual starts a cycle, and pmatvec(v), which is psolve(matvec(v))
+    in exact arithmetic, is its operator.
 
     Every reduction and update on the (nr - 1, ntheta) fields is a ufunc, and
     each plane rotation is :func:`_givens`.  A cycle of at most ``_RESTART``
@@ -438,7 +445,7 @@ def _gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, rtol: float,
         v[0] *= 1.0 / s[0]
         ptol = s[0].real * atol / rnorm
         for col in range(_RESTART):
-            w = psolve(matvec(v[col]))
+            w = pmatvec(v[col])
             h0 = _norm(w)
             for k in range(col + 1):  # modified Gram-Schmidt
                 h[col, k] = _dot(v[k], w)
@@ -485,20 +492,40 @@ def _operator(op_factory, t: float, grid: tuple) -> EffectiveOperator:
     return op
 
 
+def _solve_pairs(blocks: np.ndarray, scale: complex, x: np.ndarray) -> np.ndarray:
+    """(I + scale T)^-1 x for T theta-constant blocks, a flat m-major stack as
+    ``_fourier_table`` stores it, and x m-major (ntheta, nr - 1).  The blocks
+    of m and -m are equal, so one zgtsv solves |m| = 0 .. ntheta/2 for both
+    signs, m and -m as its two columns."""
+    half = x.shape[0] // 2 + 1
+    mirror = -np.arange(half) % x.shape[0]  # the rows of -m
+    y = np.empty_like(x)
+    y[mirror], y[:half] = lapack.gtsv(*_shifted(blocks[:, :half * x.shape[1]], scale),
+                                      np.stack((x[mirror], x[:half])))
+    return y
+
+
 def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float) -> GridWavefunction:
     """Crank-Nicolson propagation from psi0.time to t1 (not before it; dt
     finite and > 0, psi0 finite, the operator at t1 built without error, and
     every operator on psi0's grid, else ValueError before any step).
 
-    The state is carried m-major as the angular spectrum of its interior
-    rows, and each step builds the operator at the half-step time.  A
-    theta-constant (pantographic) operator is its blocks: the step is one
-    ``_lapack.gtsv``, with no FFT.  Otherwise restarted GMRES (cycles of 20),
-    preconditioned by the blocks' ``_lapack.Factor``, starts from the block
-    solve and then from 2 x_n - x_{n-1}, and iterates until the true residual
-    is within the module's ``_GMRES_RTOL`` of the right-hand side, in at most
-    ``_GMRES_MAX_ITER`` inner iterations; its reductions are ufunc sums, no
-    threaded BLAS call.  RuntimeError naming the half-step time, the
+    The state is carried m-major as the angular spectrum x of its interior
+    rows, and each step builds the operator H at the half-step time.  A step
+    takes the Cayley form: y = (I + sH)^-1 x, then x' = 2y - x, which is
+    (I + sH)^-1 (I - sH) x with s = i h / (2 hbar), and H is never applied to
+    build a right-hand side.  A theta-constant (pantographic) operator is its
+    blocks: the step is one ``_lapack.gtsv`` of the |m| = 0 .. ntheta/2
+    blocks, each solved once for both m and -m, with no FFT.  Otherwise H is
+    its blocks B plus an off-block part C, and restarted GMRES (cycles of 20)
+    solves for y, preconditioned by M = I + sB (one ``_lapack.Factor``):
+    each cycle starts from M^-1 of the true residual x - (I + sH) y, and
+    iterates v -> v + M^-1 (s C v).  The first start is M^-1 x plus the
+    coupling correction e = y - M^-1 x of the earlier steps of this call,
+    extrapolated as 2 e_n - e_{n-1} (e_n on the second step).  GMRES
+    iterates until the true residual is within the module's ``_GMRES_RTOL``
+    of ||x||, in at most ``_GMRES_MAX_ITER`` inner iterations; its
+    reductions are ufunc sums, no threaded BLAS call.  RuntimeError naming the half-step time, the
     iterations and the residual if it does not converge.
 
     The pantographic operator is Hermitian under the grid weights r_j, so
@@ -514,24 +541,27 @@ def propagate(op_factory, psi0: GridWavefunction, t1: float, dt: float) -> GridW
     _operator(op_factory, t1, psi0.grid)  # the half steps stop short of t1
     rtol, max_iter = _GMRES_RTOL, _GMRES_MAX_ITER
     x = np.fft.fft(psi0.values[:-1].T, axis=0)  # (ntheta, nr - 1)
-    prev = None
+    guess = last = None  # the extrapolated and the last coupling correction e
     for t_half, t in steps:
         op = _operator(op_factory, t_half, psi0.grid)
         scale = 1j * h / (2.0 * op.hbar)
-        b = x - scale * op.apply(x.T).T
         if op.theta_constant:
-            step = lapack.gtsv(*_shifted(op._blocks, scale), b)
+            y = _solve_pairs(op._blocks, scale, x)
         else:
             factor = lapack.Factor(*_shifted(op._blocks, scale))
-            start = factor.solve(b) if prev is None else 2.0 * x - prev
-            step, inner, resid = _gmres(lambda f: f + scale * op.apply(f.T).T,
-                                        factor.solve, b, start, rtol, max_iter)
+            base = factor.solve(x)
+            y, inner, resid = _gmres(
+                lambda f: f + scale * op.apply(f.T).T, factor.solve,
+                lambda v: v + factor.solve(scale * op._off_block(v)),
+                x, base if guess is None else base + guess, rtol, max_iter)
             if not resid <= rtol:
                 raise RuntimeError(
                     f"Crank-Nicolson step at t = {t_half!r} did not converge (GMRES inner "
                     f"iterations: {inner}, relative residual: {resid:.3e}, rtol: {rtol!r}); "
                     "reduce dt or the deformation amplitude")
-        prev, x = x, step
+            e = y - base
+            guess, last = e if last is None else 2.0 * e - last, e
+        x = 2.0 * y - x
     values = np.zeros(psi0.values.shape, dtype=complex)
     values[:-1] = np.fft.ifft(x, axis=0).T
     return GridWavefunction(values, psi0.r0, t)

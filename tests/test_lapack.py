@@ -85,13 +85,33 @@ def test_smallest_systems_match_a_dense_solve(n):
 
 
 def test_solves_return_x_shaped_like_b():
-    # b of any shape is one right-hand side of its n values, read C-order
+    # b of any shape holding n values is one right-hand side, read C-order
     dl, d, du, b = _system(12, 5)
     want = _lapack.gtsv(dl, d, du, b)
     factor = _lapack.Factor(dl, d, du)
     for rhs in (b.reshape(3, 4), np.asfortranarray(b.reshape(3, 4))):
         for x in (_lapack.gtsv(dl, d, du, rhs), factor.solve(rhs)):
             assert x.shape == (3, 4) and x.reshape(-1).tobytes() == want.tobytes()
+
+
+@given(n=st.integers(1, 64), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       diag_scale=st.floats(1e-3, 1.0))
+def test_gtsv_of_a_stack_is_one_solve_per_row(n, k, seed, diag_scale):
+    # a (k, n) b is k right-hand sides, each solved as it would be alone
+    dl, d, du, _ = _system(n, seed)
+    d *= diag_scale
+    b = np.array([_system(n, seed + 1 + j)[3] for j in range(k)])
+    x = _lapack.gtsv(dl, d, du, b)
+    assert x.shape == (k, n)
+    assert all(x[j].tobytes() == _lapack.gtsv(dl, d, du, b[j]).tobytes() for j in range(k))
+
+
+def test_gtsv_takes_only_whole_right_hand_sides():
+    dl, d, du, b = _system(5, 0)
+    for rhs in (b[:0], b[1:], np.r_[b, b[:1]], np.r_[b, b, b[:4]]):
+        with pytest.raises(ValueError, match="whole number >= 1 of n = 5"):
+            _lapack.gtsv(dl, d, du, rhs)
+    assert _lapack.gtsv(dl, d, du, np.r_[b, b, b]).shape == (15,)
 
 
 def test_wrappers_leave_their_inputs_alone():

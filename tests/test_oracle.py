@@ -310,18 +310,23 @@ def test_propagate_solver_failure_raises(deformed_spec, monkeypatch):
         oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0, 5.0, 5.0)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one at each call of owner.name (a class or module)."""
+    calls, method = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or method(*a, **k))
+    return calls
+
+
 def test_propagate_max_iter_caps_operator_applications(deformed_spec, monkeypatch):
-    # max_iter bounds GMRES's inner iterations, not its restart cycles of 20
+    # max_iter bounds GMRES's inner iterations, not its restart cycles of 20;
+    # every application, full or off-block, evaluates the off-block part once
     _solver_settings(monkeypatch, 1e-14, 5)
-    calls = []
-    apply = oracle.EffectiveOperator.apply
-    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
-                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+    calls = _count_calls(monkeypatch, oracle.EffectiveOperator, "_off_block")
     psi0 = sample_mode(sf.mode_make(0, 1, deformed_spec), deformed_spec, 0.0, 32, 16)
     with pytest.raises(RuntimeError, match="converge"):
         oracle.propagate(deformed_factory(deformed_spec, 32, 16), psi0, 5.0, 5.0)
-    # right-hand side, GMRES's first and last residual
-    assert len(calls) <= 5 + 3
+    # GMRES's first and last residual
+    assert len(calls) <= 5 + 2
 
 
 def test_propagate_stall_names_time_iterations_and_residual(deformed_spec, monkeypatch):
@@ -350,24 +355,28 @@ def test_deformed_step_through_a_gmres_restart_matches_a_dense_solve(deformed_sp
                     axis=1)
     x = np.fft.fft(psi0.values[:-1], axis=1).ravel()
     want = np.linalg.solve(np.eye(n) + scale * heff, x - scale * (heff @ x))
-    calls = []
-    apply = oracle.EffectiveOperator.apply
-    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
-                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+    iterations, gmres = [], oracle._gmres
+    monkeypatch.setattr(oracle, "_gmres",
+                        lambda *a: iterations.append(gmres(*a)) or iterations[-1])
     _solver_settings(monkeypatch, 1e-14)
     got = np.fft.fft(oracle.propagate(fac, psi0, t + h, h).values[:-1], axis=1).ravel()
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert len(calls) > 23  # right-hand side, first residual, 20 iterations, restart
+    [(_, inner, _)] = iterations
+    assert inner > oracle._RESTART  # a restart
 
 
 def test_gmres_preconditions_only_at_cycle_starts_and_inner_iterations():
-    # one psolve per cycle start and per inner iteration; matvec adds the
-    # first residual.  The solve restarts at least once.
+    # a = D + C preconditioned by D: psolve once per cycle start, matvec once
+    # per cycle end and for the first residual, and each inner iteration is
+    # one pmatvec, v + D^-1 C v.  The solve restarts at least once.
     rng = np.random.default_rng(3)
     n = 60
-    a = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+    d = 1.0 + 0.5 * rng.random(n)
+    c = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+    c[np.diag_indices(n)] = 0.0
+    a = np.diag(d) + c
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    calls = {"matvec": 0, "psolve": 0}
+    calls = {"matvec": 0, "psolve": 0, "pmatvec": 0}
 
     def matvec(x):
         calls["matvec"] += 1
@@ -375,12 +384,18 @@ def test_gmres_preconditions_only_at_cycle_starts_and_inner_iterations():
 
     def psolve(x):
         calls["psolve"] += 1
-        return x.copy()
+        return x / d
 
-    x, inner, resid = oracle._gmres(matvec, psolve, b, np.zeros(n, dtype=complex), 1e-11, 60)
+    def pmatvec(v):
+        calls["pmatvec"] += 1
+        return v + (c @ v) / d
+
+    x, inner, resid = oracle._gmres(matvec, psolve, pmatvec, b, np.zeros(n, dtype=complex),
+                                    1e-11, 60)
     assert inner > oracle._RESTART and resid <= 1e-11
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-    assert calls["psolve"] == calls["matvec"] - 1
+    assert calls["psolve"] == calls["matvec"] - 1 >= 2
+    assert calls["pmatvec"] == inner
 
 
 def _no_gmres(*args, **kwargs):
@@ -391,18 +406,89 @@ def _no_factor(*args, **kwargs):
     raise AssertionError("blocks factored for a theta-constant operator")
 
 
-def test_pantographic_step_is_one_apply_and_no_gmres(dilating_spec, monkeypatch):
-    # theta-constant coefficients: the blocks are the operator, so a step is
-    # its right-hand side and one tridiagonal solve, with no factorization kept
-    calls = []
-    apply = oracle.EffectiveOperator.apply
-    monkeypatch.setattr(oracle.EffectiveOperator, "apply",
-                        lambda self, *a, **k: calls.append(1) or apply(self, *a, **k))
+def test_pantographic_step_is_one_gtsv_and_no_apply(dilating_spec, monkeypatch):
+    # theta-constant coefficients: the blocks are the operator, so a step in
+    # the Cayley form is one tridiagonal solve, with no factorization kept and
+    # no application of the operator
+    applies = _count_calls(monkeypatch, oracle.EffectiveOperator, "apply")
+    solves = _count_calls(monkeypatch, oracle.lapack, "gtsv")
     monkeypatch.setattr(oracle, "_gmres", _no_gmres)
     monkeypatch.setattr(oracle.lapack, "Factor", _no_factor)
     psi0 = sample_mode(sf.mode_make(1, 1, dilating_spec), dilating_spec, 0.0, 32, 16)
     oracle.propagate(pantographic_factory(dilating_spec, 32, 16), psi0, 0.5, 0.01)
-    assert len(calls) == 50
+    assert len(solves) == 50 and not applies
+
+
+@given(seed=st.integers(0, 2**32 - 1), **random_grids)
+def test_paired_block_solve_is_the_solve_of_all_blocks(seed, nr, ntheta, kappa, t):
+    # the blocks of m and -m are bit-identical, so the two-column solve of
+    # |m| = 0 .. ntheta/2 (m = 0 and the Nyquist in both columns) returns
+    # every bit of one single-column zgtsv of all ntheta blocks
+    op = _dilating_factory(nr, ntheta, kappa)(t)
+    blocks = op._blocks.reshape(3, ntheta, nr - 1)
+    assert np.array_equal(blocks, blocks[:, -np.arange(ntheta) % ntheta])
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(ntheta, nr - 1)) + 1j * rng.normal(size=(ntheta, nr - 1))
+    scale = 0.5j * 0.005
+    want = oracle.lapack.gtsv(*oracle._shifted(op._blocks, scale), x)
+    assert np.array_equal(oracle._solve_pairs(op._blocks, scale, x), want)
+
+
+@lru_cache(maxsize=None)
+def benchmark_deformed_run(rtol):
+    """The benchmark's deformed run (192 x 32, eps 0.05, kappa 0.1, four
+    checkpoints to t = 1, dt 0.005) at GMRES tolerance rtol: the final
+    values, and the off-block evaluations and block solves per step.  Every
+    application, full or off-block, evaluates the off-block part once."""
+    spec = DomainSpec(kappa=0.1, gamma=0.5, epsilon=0.05)
+    nr, ntheta, dt = 192, 32, 0.005
+    counts = {"_off_block": 0, "solve": 0}
+
+    def counted(name, method):
+        return lambda *a, **k: counts.__setitem__(name, counts[name] + 1) or method(*a, **k)
+
+    fac = deformed_factory(spec, nr, ntheta)
+    psi = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, nr, ntheta)
+    with mock.patch.object(oracle, "_GMRES_RTOL", rtol), \
+            mock.patch.object(oracle.EffectiveOperator, "_off_block",
+                              counted("_off_block", oracle.EffectiveOperator._off_block)), \
+            mock.patch.object(oracle.lapack.Factor, "solve",
+                              counted("solve", oracle.lapack.Factor.solve)):
+        for t in np.linspace(0.0, 1.0, 5)[1:]:
+            psi = oracle.propagate(fac, psi, float(t), dt)
+    return psi.values, counts["_off_block"] / 200, counts["solve"] / 200
+
+
+def test_deformed_steps_apply_and_solve_at_most_seven_times():
+    _, applications, solves = benchmark_deformed_run(oracle._GMRES_RTOL)
+    assert applications <= 7.0 and solves <= 7.0
+
+
+def test_deformed_run_is_as_accurate_as_a_tight_solve():
+    # the stopping rule at rtol 1e-11 against the same run at 1e-14
+    got, want = benchmark_deformed_run(oracle._GMRES_RTOL)[0], benchmark_deformed_run(1e-14)[0]
+    assert np.max(np.abs(got - want)) <= 5e-12 * np.max(np.abs(want))
+
+
+def test_interleaved_deformed_runs_share_no_state(deformed_spec):
+    # each run's extrapolation history lives in its own propagate call
+    runs = [(deformed_factory(spec, 32, 16),
+             sample_mode(sf.mode_make(m, 1, spec), spec, 0.0, 32, 16))
+            for spec, m in ((deformed_spec, 0), (dataclasses.replace(deformed_spec, epsilon=0.1), 1))]
+    chunks = (0.2, 0.5, 0.6)
+
+    def run(fac, psi, t):
+        return oracle.propagate(fac, psi, t, 0.01)
+
+    alone = []
+    for fac, psi in runs:
+        for t in chunks:
+            psi = run(fac, psi, t)
+        alone.append(psi.values)
+    states = [psi for _, psi in runs]
+    for t in chunks:
+        states = [run(fac, psi, t) for (fac, _), psi in zip(runs, states)]
+    assert all(np.array_equal(a, b.values) for a, b in zip(alone, states))
 
 
 @given(ntheta=st.integers(8, 32).map(lambda k: 2 * k), kappa=st.floats(0.01, 0.3),
@@ -445,13 +531,15 @@ mode = specfun.mode_make(0, 1, spec)
 # numpy starts them; wait that out, so that only the CN steps are measured
 time.sleep(0.5)
 growth = []
+# 20 deformed steps, and 200 theta-constant ones through the two-column zgtsv
 for nr in (192, 384):
-    psi = oracle.grid_from_sampler(
-        lambda r, th: pantograph.phi_exact(mode, spec, r, th, 0.0), spec.r0, nr, 32)
-    before = cpu()
-    oracle.propagate(lambda t: oracle.effective_operator(bnd, spec, t, nr, 32),
-                     psi, 0.1, 0.005)
-    growth.append([a - b for a, b in zip(cpu(), before)])
+    for boundary, t1 in ((bnd, 0.1), (BoundaryFunction.pantographic_from(spec), 1.0)):
+        psi = oracle.grid_from_sampler(
+            lambda r, th: pantograph.phi_exact(mode, spec, r, th, 0.0), spec.r0, nr, 32)
+        before = cpu()
+        oracle.propagate(lambda t: oracle.effective_operator(boundary, spec, t, nr, 32),
+                         psi, t1, 0.005)
+        growth.append([a - b for a, b in zip(cpu(), before)])
 print(json.dumps([growth, sorted(m for m in sys.modules if m.startswith("scipy.sparse"))]))
 """
 
@@ -459,8 +547,9 @@ print(json.dumps([growth, sorted(m for m in sys.modules if m.startswith("scipy.s
 @pytest.mark.skipif(not os.access("/proc/self/task", os.R_OK) or (os.cpu_count() or 1) < 2,
                     reason="needs /proc/self/task and at least two cores")
 def test_deformed_cn_wakes_no_blas_thread():
-    # numpy's default OpenBLAS threads; 20 CN steps per grid size, where a
-    # BLAS dot or gemv on the (nr - 1) x 32 spectra would run threaded
+    # numpy's default OpenBLAS threads; per grid size 20 deformed CN steps,
+    # where a BLAS dot or gemv on the (nr - 1) x 32 spectra would run
+    # threaded, and 200 pantographic ones
     growth, sparse = json.loads(_fresh_python(THREAD_CPU_PROBE))
     for main, workers in growth:
         assert workers <= 0.05 * main, growth
