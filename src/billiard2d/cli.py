@@ -185,6 +185,12 @@ def _task_pantograph(cfg: RunConfig, out: Path) -> None:
 
 
 def _task_populations(cfg: RunConfig, out: Path) -> None:
+    m0 = cfg.initial[0]
+    unreachable = [(m, n) for m, n in cfg.targets if abs(m - m0) != 1]
+    if unreachable:  # first-order TDPT gives them exact zeros, not populations
+        raise ValueError(f"config key 'targets': {unreachable} are unreachable from "
+                         f"{tuple(cfg.initial)} at first order; the selection rule "
+                         "allows only targets with |m - m0| = 1")
     spec = cfg.domain_spec()
     initial = specfun.mode_make(*cfg.initial, spec)
     targets = [specfun.mode_make(m, n, spec) for m, n in cfg.targets]

@@ -15,7 +15,6 @@ __all__ = [
     "DomainSpec",
     "BoundaryFunction",
     "radius",
-    "radius_linearized",
     "to_fixed",
     "to_moving",
     "disk_inner_product",
@@ -130,11 +129,6 @@ def radius(spec: DomainSpec, theta, t):
     """
     lam, _, eg, _ = _box(spec, t)
     return lam / (1.0 - eg * np.cos(np.asarray(theta, dtype=float)))
-
-
-def radius_linearized(spec: DomainSpec, theta, t):
-    """First-order boundary lam * (1 + eps g cos theta); perturbative use only."""
-    return spec.lam(t) * (1.0 + spec.epsilon * spec.g(t) * np.cos(np.asarray(theta, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ __all__ = [
     "brute_element",
     "brute_element_integrated",
     "project",
+    "grid_energy",
     "fd_energy_rate",
     "grid_from_sampler",
 ]
@@ -294,9 +295,6 @@ class EffectiveOperator:
     @property
     def grid(self) -> tuple:
         return self.nr, self.ntheta, self.r0
-
-    def radii(self) -> np.ndarray:
-        return _grid_radii(self.nr, self.r0)
 
     def apply(self, xhat: np.ndarray) -> np.ndarray:
         """H_eff applied to xhat = fft(v[:-1], axis=1), the angular spectrum
@@ -653,24 +651,28 @@ def project(psi: GridWavefunction, mode: BesselMode, spec: DomainSpec,
                              spec.r0, psi.nr, psi.ntheta, t).inner(psi)
 
 
-def _h1_mean_energy(psi: GridWavefunction, spec: DomainSpec) -> float:
-    """<psi|H1|psi>/<psi|psi> on the grid with the pantographic 1/lam^2.
+def grid_energy(psi: GridWavefunction, spec: DomainSpec) -> float:
+    """Re<psi|H1 + H3|psi>/<psi|psi> on the grid at psi.time, for the ellipse
+    of ``spec``: H_eff of that ellipse with its dilation term (H2) dropped.
 
-    H1 is H_eff of the static box (kappa = 0: R = 1, no H2) over lam(t)^2.
+    At eps > 0 this carries the origin row's parity-ghost bias (the field
+    R(theta) psi(0) at s = 0 is not a regular polar field).  ValueError if
+    psi.time is not a time of the box (see domain._box).
     """
-    static = dataclasses.replace(spec, kappa=0.0)
-    op = effective_operator(BoundaryFunction.pantographic_from(static), static,
-                            psi.time, psi.nr, psi.ntheta)
-    h1 = psi.inner(apply_heff(op, psi)).real / psi.inner(psi).real
-    return float(h1 / spec.lam(psi.time) ** 2)
+    op = effective_operator(BoundaryFunction.deformed_from(spec), spec, psi.time,
+                            psi.nr, psi.ntheta)
+    h = apply_heff(dataclasses.replace(op, dil=0.0), psi)
+    return float(psi.inner(h).real / psi.inner(psi).real)
 
 
 def fd_energy_rate(trajectory, spec: DomainSpec) -> np.ndarray:
-    """4th-order finite-difference d<H1>/dt along a grid trajectory.
+    """4th-order finite-difference d<H1 + H3>/dt of :func:`grid_energy` along
+    a grid trajectory.
 
-    Needs a uniform time grid with at least 5 snapshots, each at a time of
-    the box (see DomainSpec.lam); endpoints use one-sided 4th-order
-    stencils.
+    At eps = 0 that is the pantographic <H1>; at eps > 0 it is the ellipse's
+    energy, not the circle's H1.  Needs at least 5 snapshots on a uniform,
+    strictly increasing time grid, each at a time of the box (see
+    DomainSpec.lam); endpoints use one-sided 4th-order stencils.
     """
     snaps = list(trajectory)
     if len(snaps) < 5:
@@ -679,9 +681,11 @@ def fd_energy_rate(trajectory, spec: DomainSpec) -> np.ndarray:
     spec.lam(times)  # before any snapshot's energy
     hsteps = np.diff(times)
     h = hsteps[0]
+    if not np.all(hsteps > 0):
+        raise ValueError(f"snapshot times must be strictly increasing, got {times.tolist()}")
     if not np.allclose(hsteps, h, rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform")
-    e = np.array([_h1_mean_energy(s, spec) for s in snaps])
+    e = np.array([grid_energy(s, spec) for s in snaps])
     n = len(e)
     out = np.empty(n)
     out[2:-2] = (e[:-4] - 8 * e[1:-3] + 8 * e[3:-1] - e[4:]) / (12 * h)

@@ -19,14 +19,12 @@ import numpy as np
 
 from . import specfun
 from .domain import DomainSpec
-from .pantograph import beta
 from .specfun import BesselMode, _check_modes, radial_profile
 
 __all__ = [
     "ModePair",
     "ElementBreakdown",
     "AmplitudeTable",
-    "xi",
     "w_integral",
     "f_integral",
     "element",
@@ -54,10 +52,6 @@ class ModePair:
     def delta_plus(self) -> bool:
         return self.target.m == self.source.m + 1
 
-    @property
-    def delta_minus(self) -> bool:
-        return self.target.m == self.source.m - 1
-
 
 @dataclass(frozen=True)
 class ElementBreakdown:
@@ -70,15 +64,6 @@ class ElementBreakdown:
     @property
     def total(self) -> complex:
         return self.h1 + self.h2 + self.h3
-
-
-def xi(pair: ModePair, spec: DomainSpec, t) -> float:
-    """Relative phase beta_source(t) - beta_target(t).
-
-    Under the beta(0) = 0 convention this is
-    (E_target - E_source) t / (hbar (1 + kappa t)).
-    """
-    return beta(pair.source, spec, t) - beta(pair.target, spec, t)
 
 
 def _omega(pair: ModePair, spec: DomainSpec) -> float:

@@ -153,6 +153,21 @@ def test_main_error_is_machine_readable(tmp_path, capsys):
     assert "epsilon" in record["detail"]
 
 
+def test_main_rejects_targets_first_order_cannot_reach(tmp_path, capsys):
+    # from (0,1), the |Delta m| = 1 rule leaves (2,1) and (0,2) at exact zeros:
+    # the run used to exit 0 and write those columns as if they were results
+    out = tmp_path / "out.csv"
+    cfgfile = tmp_path / "forbidden.cfg"
+    cfgfile.write_text("n_samples = 4\ntargets = 1,1; 2,1; 0,2\n")
+    status = cli.main(["populations", "--config", str(cfgfile), "--out", str(out)])
+    assert status == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "[(2, 1), (0, 2)]" in record["detail"]
+    assert "|m - m0| = 1" in record["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
 def test_main_rejects_non_finite_float(key, value, tmp_path, capsys):

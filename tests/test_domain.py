@@ -17,7 +17,6 @@ from billiard2d.domain import (
     disk_inner_product,
     moving_inner_product,
     radius,
-    radius_linearized,
     to_fixed,
     to_moving,
 )
@@ -102,7 +101,6 @@ def test_radius_rejects_a_non_finite_schedule():
                  lambda: radius(spec, 0.0, np.array([0.5, 1.5, 2.0])),
                  lambda: bnd.value(0.0, 1.5),
                  lambda: moving_inner_product(one, one, bnd, 1.5, nr=8, ntheta=8),
-                 lambda: radius_linearized(spec, 0.0, 1.5),
                  lambda: oracle.brute_element(_pair(spec), spec, 1.5)):
         with pytest.raises(ValueError, match=r"non-finite boundary eps g or eps gdot at t = 1\.5"):
             call()
@@ -117,10 +115,8 @@ def _pair(spec):
 # disk (or 1-d box) of the shared span check
 TIMED_ENTRY_POINTS = {
     "radius": lambda spec, t: radius(spec, 0.3, t),
-    "radius_linearized": lambda spec, t: radius_linearized(spec, 0.3, t),
     "alpha": lambda spec, t: pg.alpha(spec, t),
     "beta": lambda spec, t: pg.beta(sf.mode_make(0, 1, spec), spec, t),
-    "xi": lambda spec, t: pt.xi(_pair(spec), spec, t),
     "effective_operator": lambda spec, t: oracle.effective_operator(
         BoundaryFunction.deformed_from(spec), spec, t, 16, 16),
     "brute_element": lambda spec, t: oracle.brute_element(_pair(spec), spec, t),
@@ -187,7 +183,8 @@ def test_radius_linearized_first_order(deformed_spec):
     th = np.linspace(0, 2 * math.pi, 13)
     t = 3.0
     exact = radius(deformed_spec, th, t)
-    lin = radius_linearized(deformed_spec, th, t)
+    # the first-order boundary lam (1 + eps g cos theta)
+    lin = deformed_spec.lam(t) * (1.0 + deformed_spec.epsilon * deformed_spec.g(t) * np.cos(th))
     assert np.max(np.abs(exact - lin)) < 2.0 * deformed_spec.epsilon**2 * float(
         deformed_spec.lam(t))
 

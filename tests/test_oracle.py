@@ -144,13 +144,13 @@ def test_apply_takes_only_the_interior_spectrum(dilating_spec):
 @pytest.mark.parametrize("m, n", [(0, 1), (2, 2)])
 @pytest.mark.parametrize("t", [0.0, 3.0])
 def test_grid_h1_energy_converges_to_mean_energy(dilating_spec, m, n, t):
-    # <H1> of a sampled exact mode on the grid against the quadrature of
-    # pantograph.mean_energy: second order in dr
+    # the grid energy (H1 alone at eps = 0) of a sampled exact mode against
+    # the quadrature of pantograph.mean_energy: second order in dr
     mode = sf.mode_make(m, n, dilating_spec)
     want = pg.mean_energy(pg.PantographicState.single(mode), dilating_spec, t)
     err96, err192 = (
-        abs(oracle._h1_mean_energy(sample_mode(mode, dilating_spec, t, nr, 16),
-                                   dilating_spec) / want - 1.0)
+        abs(oracle.grid_energy(sample_mode(mode, dilating_spec, t, nr, 16),
+                               dilating_spec) / want - 1.0)
         for nr in (96, 192))
     assert err96 <= 1e-3
     assert err96 / err192 >= 3.5
@@ -189,7 +189,7 @@ random_grids = {
 def test_mean_blocks_hermitian_under_grid_weights(nr, ntheta, kappa, t):
     op = _dilating_factory(nr, ntheta, kappa)(t)
     lower, diag, upper = op.mean_blocks()
-    w = op.radii()[:nr - 1, None]
+    w = oracle._grid_radii(nr, op.r0)[:nr - 1, None]
     scale = np.max(np.abs(w * diag))
     assert np.max(np.abs(w[:-1] * upper[:-1] - np.conj(w[1:] * lower[1:]))) <= 1e-14 * scale
     assert np.max(np.abs(diag.imag)) <= 1e-14 * scale
@@ -1037,6 +1037,96 @@ def test_fd_energy_rate_validates_grid(unit_spec):
     snaps = [sample_mode(mode, unit_spec, t, 64, 16) for t in (0, 0.1, 0.3, 0.4, 0.5)]
     with pytest.raises(ValueError, match="uniform"):
         oracle.fd_energy_rate(snaps, unit_spec)
+    # five snapshots at one time passed the uniform-grid check, and the rates
+    # came out inf/nan after a division by the zero step
+    for times in ([0.2] * 5, [0.4, 0.3, 0.2, 0.1, 0.0]):
+        snaps = [sample_mode(mode, unit_spec, t, 64, 16) for t in times]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            oracle.fd_energy_rate(snaps, unit_spec)
+
+
+# -- the deformed oracle against the moving-wall Schroedinger equation ---------
+
+_X0, _K, _W = (0.15, -0.1), (2.0, -1.0), 0.4
+
+
+def _lab_packet(x, y, t):
+    """Psi = exp(-6 |x - x0|^2 + i k.x - i w t) (1 + 0.3 t) at lab points
+    (x, y), with its Laplacian and d_t Psi, all in closed form."""
+    dx, dy = x - _X0[0], y - _X0[1]
+    wave = np.exp(-6.0 * (dx * dx + dy * dy) + 1j * (_K[0] * x + _K[1] * y - _W * t))
+    fx, fy = -12.0 * dx + 1j * _K[0], -12.0 * dy + 1j * _K[1]
+    psi = wave * (1.0 + 0.3 * t)
+    return psi, psi * (fx * fx + fy * fy - 24.0), wave * (0.3 - 1j * _W * (1.0 + 0.3 * t))
+
+
+def _heff_error_on_a_lab_packet(epsilon, nr, ntheta=32, t=3.0):
+    """max |apply_heff phi - H_eff phi| / max |H_eff phi| on rows nr/8 to
+    3 nr/4, phi = R Psi(s R e_theta) of the lab packet, where
+    H_eff phi = R (H_lab Psi)(s R e_theta) + i hbar (d_t phi - R (d_t Psi)(s R e_theta))
+    and d_t phi is a 4th-order difference in t."""
+    spec = DomainSpec(mu=0.7, hbar=1.3, kappa=0.1, gamma=0.5, epsilon=epsilon)
+    s = ((np.arange(nr) + 0.5) * (spec.r0 / (nr - 0.5)))[:, None]
+    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
+
+    def fixed(time):  # R Psi, R Delta Psi and R d_t Psi at s R e_theta
+        big_r = radius(spec, theta, time)
+        lab = _lab_packet(s * big_r * np.cos(theta), s * big_r * np.sin(theta), time)
+        return tuple(big_r * f for f in lab)
+
+    phi, r_lap, r_dt = fixed(t)
+    h = 1e-3
+    dphi = (fixed(t - 2 * h)[0] - 8.0 * fixed(t - h)[0] + 8.0 * fixed(t + h)[0]
+            - fixed(t + 2 * h)[0]) / (12.0 * h)
+    want = -spec.hbar**2 / (2.0 * spec.mu) * r_lap + 1j * spec.hbar * (dphi - r_dt)
+    op = oracle.effective_operator(BoundaryFunction.deformed_from(spec), spec, t, nr, ntheta)
+    got = oracle.apply_heff(op, oracle.GridWavefunction(phi, spec.r0, t)).values
+    rows = slice(nr // 8, 3 * nr // 4 + 1)
+    return np.max(np.abs(got[rows] - want[rows])) / np.max(np.abs(want[rows]))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3, 0.6])
+def test_heff_is_the_lab_operator_away_from_the_origin(epsilon):
+    # H1, H2 and H3, the (eps g)^2 terms and H2's eps gdot part included, are
+    # the lab Hamiltonian to 2nd order in dr (1.0e-4 to 3.7e-4 at nr 256);
+    # row 0 is left out, where the parity ghost is biased at eps > 0
+    errs = [_heff_error_on_a_lab_packet(epsilon, nr) for nr in (64, 128, 256)]
+    assert errs[2] <= 5e-4
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
+
+def _energy_rate_law_mismatch(spec, nr, ntheta=16, dt=0.01, t=0.6):
+    """|dE/dt - contact term| / |contact term| at t on a CN run from (0,1):
+    dE/dt is fd_energy_rate over snapshots 0.05 apart, and the contact term
+    -(hbar^2/2mu) int rhodot rho (1 + (rho'/rho)^2) |psi_r|^2 dtheta of the
+    wall rho = R r0 has psi_r = phi_s(r0, theta) / R^2, phi_s one-sided and
+    2nd order at the wall row."""
+    factory = deformed_factory(spec, nr, ntheta)
+    psi = sample_mode(sf.mode_make(0, 1, spec), spec, 0.0, nr, ntheta)
+    snaps = []
+    for k in range(-2, 3):
+        psi = oracle.propagate(factory, psi, t + 0.05 * k, dt)
+        snaps.append(psi)
+    rate = oracle.fd_energy_rate(snaps, spec)[2]
+    phi = snaps[2].values  # phi[-1] = 0 on the wall
+    phi_s = (phi[-3] - 4.0 * phi[-2]) / (2.0 * snaps[2].dr)
+    theta = np.arange(ntheta) * (2.0 * math.pi / ntheta)
+    lam, a, adot = float(spec.lam(t)), spec.epsilon * spec.g(t), spec.epsilon * spec.gdot(t)
+    den = 1.0 - a * np.cos(theta)
+    big_r = radius(spec, theta, t)
+    r_dot = spec.kappa / den + lam * adot * np.cos(theta) / den**2
+    r_prime = -lam * a * np.sin(theta) / den**2
+    flux = r_dot * big_r * (1.0 + (r_prime / big_r) ** 2) * np.abs(phi_s / big_r**2) ** 2
+    contact = -spec.hbar**2 / (2.0 * spec.mu) * spec.r0**2 * flux.mean() * 2.0 * math.pi
+    return abs(rate - contact) / abs(contact)
+
+
+def test_cn_energy_rate_obeys_the_moving_wall_law(dilating_spec):
+    # dE/dt = -(hbar^2/2mu) oint v_n |d_n psi|^2 dl holds for any Dirichlet
+    # wall; at eps = 0 the grid energy and the CN run meet it at 2nd order
+    # in dr (1.4e-3, 3.5e-4, 8.6e-5)
+    errs = [_energy_rate_law_mismatch(dilating_spec, nr) for nr in (48, 96, 192)]
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 @lru_cache(maxsize=None)

@@ -31,24 +31,7 @@ def test_selection_flags(spec):
     assert not pair_of(spec, (2, 1), (0, 1)).allowed
     assert not pair_of(spec, (0, 3), (0, 1)).allowed
     p = pair_of(spec, (3, 2), (2, 2))
-    assert p.delta_plus and not p.delta_minus
-
-
-def test_xi_diagonal_and_antisymmetry(spec):
-    p_same = pair_of(spec, (1, 1), (1, 1))
-    for t in (0.0, 3.0, 12.0):
-        assert pt.xi(p_same, spec, t) == 0.0
-    a = pair_of(spec, (1, 1), (0, 1))
-    b = pair_of(spec, (0, 1), (1, 1))
-    for t in (0.7, 9.0):
-        assert pt.xi(a, spec, t) == pytest.approx(-pt.xi(b, spec, t), rel=1e-15)
-
-
-def test_xi_numeric_example(spec):
-    p = pair_of(spec, (1, 1), (0, 1))
-    e_t = sf.bessel_zero(1, 1) ** 2 / 2.0
-    e_s = sf.bessel_zero(0, 1) ** 2 / 2.0
-    assert pt.xi(p, spec, 5.0) == pytest.approx((e_t - e_s) * 5.0 / 1.5, rel=1e-14)
+    assert p.delta_plus
 
 
 def test_w2_diagonal_is_normalization(spec):
@@ -104,7 +87,7 @@ def test_f_integral_zero_interval(spec):
 
 
 def test_f4_diagonal_closed_form(spec):
-    # xi == 0 on the diagonal, so F4 = (i hbar / 2) g(t) exactly
+    # beta_source - beta_target == 0 on the diagonal, so F4 = (i hbar / 2) g(t) exactly
     p = pair_of(spec, (2, 2), (2, 2))
     for t in (0.5, 3.0):
         want = 0.5j * spec.hbar * float(spec.g(t))
